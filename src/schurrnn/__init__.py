@@ -7,7 +7,6 @@ also ships the analysis side: Fisher memory curves, transient ensembles,
 exact polynomial-growth verification, and connectivity diagnostics.
 """
 
-from ._backend import backend_name, get_kernels
 from .schur import (
     GammaMode,
     SchurParams,

@@ -59,7 +59,7 @@ def _write_csv(path, header, rows):
 
 _TRAIN_KEYS = {
     "lr", "lr_orth", "rms_alpha", "delta", "t_decay", "gamma_mode",
-    "gamma_clamp", "batch_size", "max_updates", "seed", "log_every",
+    "gamma_clamp", "batch_size", "max_updates", "log_every",
 }
 
 
@@ -94,9 +94,8 @@ def cmd_train(config_path, out_dir, seed_override):
 
     model_doc = doc["model"]
     _check_keys(model_doc, {"n", "cell_kind", "scheme"}, {"n"}, "model")
-    train_doc = dict(doc.get("train", {}))
+    train_doc = doc.get("train", {})
     _check_keys(train_doc, _TRAIN_KEYS, set(), "train")
-    train_doc["seed"] = seed
     try:
         config = TrainConfig(**train_doc)
     except (TypeError, ValueError) as exc:

@@ -7,7 +7,6 @@ hold no state, so they are safe to call from multiple threads.
 import numpy as np
 
 __all__ = [
-    "matmul",
     "expm",
     "expm_frechet",
     "gram_schmidt_triangular",
@@ -23,19 +22,6 @@ def _as_matrix(a, name="matrix"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b):
-    """Matrix product with shape checking.
-
-    Summation order is fixed by the BLAS call, so repeated evaluation on the
-    same machine is bit-reproducible.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 # Pade-13 coefficients for the matrix exponential (scaling and squaring).

@@ -15,7 +15,7 @@ when C itself is catastrophically ill-conditioned (condition numbers reach
 1e23 for d = 0.2 with super-unit sub-diagonals).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

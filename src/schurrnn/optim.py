@@ -9,7 +9,7 @@ normalization.
 """
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -56,7 +56,6 @@ class TrainConfig:
     gamma_clamp: float = 1.0
     batch_size: int = 10
     max_updates: int = 1000
-    seed: int = 0
     log_every: int = 10
     eps: float = 1e-8
 
@@ -157,7 +156,10 @@ def train_loop(model, stream, config, on_record=None):
 
         task_loss = fwd.loss
         reg_loss = 0.0
-        grad_list = [grads.u_in, grads.b_hidden, grads.w_out, grads.b_out]
+        # (owner, attribute, gradient) for every tensor RMSprop updates.
+        table = [(model, name, getattr(grads, name))
+                 for name in ("u_in", "b_hidden", "w_out", "b_out")]
+        grad_list = [g for _, _, g in table]
 
         if model.cell_kind == "schur":
             p = model.schur
@@ -168,44 +170,22 @@ def train_loop(model, stream, config, on_record=None):
             sg.t_lower = sg.t_lower + g_t_reg
             if mode.kind != "clamped":
                 sg.gamma = sg.gamma + g_gamma_reg
+                table.append((p, "gamma", sg.gamma))
+            table += [(p, "theta", sg.theta), (p, "t_lower", sg.t_lower)]
             grad_list += [sg.gamma, sg.theta, sg.t_lower, sg.b_skew]
-
-            model.u_in, rms["u_in"] = rmsprop_step(
-                model.u_in, grads.u_in, rms.get_for("u_in", model.u_in.shape),
-                config.lr, config.rms_alpha, config.eps)
-            model.b_hidden, rms["b_hidden"] = rmsprop_step(
-                model.b_hidden, grads.b_hidden,
-                rms.get_for("b_hidden", model.b_hidden.shape),
-                config.lr, config.rms_alpha, config.eps)
-            model.w_out, rms["w_out"] = rmsprop_step(
-                model.w_out, grads.w_out, rms.get_for("w_out", model.w_out.shape),
-                config.lr, config.rms_alpha, config.eps)
-            model.b_out, rms["b_out"] = rmsprop_step(
-                model.b_out, grads.b_out, rms.get_for("b_out", model.b_out.shape),
-                config.lr, config.rms_alpha, config.eps)
-            if mode.kind != "clamped":
-                p.gamma, rms["gamma"] = rmsprop_step(
-                    p.gamma, sg.gamma, rms.get_for("gamma", p.gamma.shape),
-                    config.lr, config.rms_alpha, config.eps)
-            p.theta, rms["theta"] = rmsprop_step(
-                p.theta, sg.theta, rms.get_for("theta", p.theta.shape),
-                config.lr, config.rms_alpha, config.eps)
-            p.t_lower, rms["t_lower"] = rmsprop_step(
-                p.t_lower, sg.t_lower, rms.get_for("t_lower", p.t_lower.shape),
-                config.lr, config.rms_alpha, config.eps)
             p.b_skew, rms["b_skew"] = stiefel_step(
                 p.b_skew, sg.b_skew, rms.get_for("b_skew", p.b_skew.shape),
                 config.lr_orth, config.rms_alpha, config.eps)
         else:
+            table.append((model, "v_dense", grads.v))
             grad_list.append(grads.v)
-            for name, pname in (("u_in", "u_in"), ("b_hidden", "b_hidden"),
-                                ("w_out", "w_out"), ("b_out", "b_out"),
-                                ("v_dense", "v")):
-                cur = getattr(model, name)
-                new, rms[name] = rmsprop_step(
-                    cur, getattr(grads, pname), rms.get_for(name, cur.shape),
-                    config.lr, config.rms_alpha, config.eps)
-                setattr(model, name, new)
+
+        for owner, name, grad in table:
+            cur = getattr(owner, name)
+            new, rms[name] = rmsprop_step(
+                cur, grad, rms.get_for(name, cur.shape),
+                config.lr, config.rms_alpha, config.eps)
+            setattr(owner, name, new)
 
         total = task_loss + reg_loss
         if not np.isfinite(total):

@@ -5,8 +5,6 @@ Polynomials in one variable are stored as tuples of Python ints
 arbitrary precision by construction.
 """
 
-import numpy as np
-
 __all__ = [
     "poly_trim",
     "poly_add",
@@ -14,7 +12,6 @@ __all__ = [
     "poly_degree",
     "poly_eval",
     "PolyMat",
-    "polymat_power",
 ]
 
 ZERO = ()
@@ -99,19 +96,3 @@ class PolyMat:
                 row.append(acc)
             out.append(row)
         return PolyMat(out)
-
-    def eval_float(self, x):
-        """Evaluate every entry at a float, returning a float64 matrix."""
-        return np.array(
-            [[float(poly_eval(p, x)) for p in row] for row in self.entries]
-        )
-
-
-def polymat_power(a, t):
-    """Exact t-th power of a polynomial matrix, t >= 1."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    out = a
-    for _ in range(t - 1):
-        out = out @ a
-    return out

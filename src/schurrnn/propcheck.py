@@ -13,7 +13,7 @@ failure is an implementation bug, not rounding.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np

@@ -7,12 +7,11 @@ baseline with a dense V.  The nonlinearity is modReLU; a linear mode
 (identity activation, biases ignored) supports the theory experiments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._backend import get_kernels
 from . import schur as schur_mod
 from .schur import SchurParamGrads, SchurParams
 
@@ -22,6 +21,8 @@ __all__ = [
     "ModelGrads",
     "ForwardResult",
     "modrelu",
+    "rnn_forward",
+    "rnn_backward",
     "init_model",
     "forward",
     "bptt",
@@ -32,7 +33,55 @@ __all__ = [
 def modrelu(z, b):
     """modReLU on real inputs: (|z| + b) * sign(z) where |z| + b > 0,
     else 0; sign(0) = 0.  Identity when b = 0."""
-    return get_kernels().modrelu(z, b)
+    z = np.asarray(z, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    mag = np.abs(z) + b
+    return np.where(mag > 0.0, mag * np.sign(z), 0.0)
+
+
+# Time-major layout throughout the recurrence: ``pre`` and ``dpre`` are
+# (T, B, n), the hidden trace ``h`` is (T+1, B, n) with ``h[0]`` the
+# initial state.
+
+def rnn_forward(v, pre, bias, h0, linear):
+    """Run the recurrence h_t = phi(V h_{t-1} + pre_t) and return the full
+    trace (T+1, B, n)."""
+    t_len, batch, n = pre.shape
+    h = np.empty((t_len + 1, batch, n))
+    h[0] = h0
+    vt = v.T
+    for t in range(1, t_len + 1):
+        z = h[t - 1] @ vt + pre[t - 1]
+        h[t] = z if linear else modrelu(z, bias)
+    return h
+
+
+def rnn_backward(v, h, gout, linear):
+    """Reverse sweep through the recurrence.
+
+    ``gout[t-1]`` is the loss gradient injected at h_t by the output head.
+    Returns (dv, dbias, dpre, dh0, hnorms) where hnorms[g] is the Frobenius
+    norm of dL/dh_{T-g} (recorded in the order the sweep produces them,
+    time gap ascending, including the initial state at gap T).  The
+    parameter gradients are one contraction over all steps after the sweep.
+    """
+    t_len = gout.shape[0]
+    batch, n = h.shape[1], h.shape[2]
+    dpre = np.empty((t_len, batch, n))
+    hnorms = np.empty(t_len + 1)
+
+    dh = np.zeros((batch, n))
+    for t in range(t_len, 0, -1):
+        dh = dh + gout[t - 1]
+        hnorms[t_len - t] = np.linalg.norm(dh)
+        dz = dh if linear else np.where(h[t] != 0.0, dh, 0.0)
+        dpre[t - 1] = dz
+        dh = dz @ v
+    hnorms[t_len] = np.linalg.norm(dh)
+
+    dv = dpre.reshape(-1, n).T @ h[:-1].reshape(-1, n)
+    dbias = np.zeros(n) if linear else np.sum(dpre * np.sign(h[1:]), axis=(0, 1))
+    return dv, dbias, dpre, dh, hnorms
 
 
 @dataclass
@@ -143,11 +192,11 @@ def _resolve_v(model, v=None):
     """(V, schur cache) for this step.  For the Schur cell V is assembled
     once per optimizer step and reused by forward and backward."""
     if v is not None:
-        return np.ascontiguousarray(v), None
+        return v, None
     if model.cell_kind == "vanilla":
-        return np.ascontiguousarray(model.v_dense), None
+        return model.v_dense, None
     vv, p, theta = schur_mod.assemble_v(model.schur)
-    return np.ascontiguousarray(vv), (p, theta)
+    return vv, (p, theta)
 
 
 def _log_softmax(logits):
@@ -156,21 +205,16 @@ def _log_softmax(logits):
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
-def forward(model, batch, v=None, kernels=None):
+def forward(model, batch, v=None):
     """Forward pass: hidden trace, logits, and mean cross entropy (nats)
     over the scored steps."""
-    k = kernels or get_kernels()
     vv, cache = _resolve_v(model, v)
     b, t_len, _ = batch.inputs.shape
     n = model.n
 
-    pre = np.ascontiguousarray(
-        np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
-    )
+    pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
     h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
-    h0 = np.ascontiguousarray(h0, dtype=np.float64)
-    bias = np.zeros(n) if model.linear_mode else np.ascontiguousarray(model.b_hidden)
-    h = k.rnn_forward(vv, pre, bias, h0, model.linear_mode)
+    h = rnn_forward(vv, pre, model.b_hidden, h0, model.linear_mode)
 
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
@@ -199,17 +243,15 @@ def forward(model, batch, v=None, kernels=None):
     )
 
 
-def bptt(model, batch, fwd=None, gamma_mode=None, kernels=None,
-         return_hnorms=False):
+def bptt(model, batch, fwd=None, gamma_mode=None, return_hnorms=False):
     """Exact reverse-mode gradients for all model parameters.
 
     For the Schur cell the gradient on V is mapped back through the
     parametrization.  The modReLU subgradient at the kink takes the zero
     branch.
     """
-    k = kernels or get_kernels()
     if fwd is None:
-        fwd = forward(model, batch, kernels=k)
+        fwd = forward(model, batch)
 
     b, t_len, d_out = fwd.logits.shape
     mask = batch.score_mask
@@ -224,9 +266,9 @@ def bptt(model, batch, fwd=None, gamma_mode=None, kernels=None,
     h = fwd.hidden
     dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
     db_out = dlogits.sum(axis=(0, 1))
-    gout = np.ascontiguousarray(np.einsum("bto,on->tbn", dlogits, model.w_out))
+    gout = np.einsum("bto,on->tbn", dlogits, model.w_out)
 
-    dv, dbias, dpre, _dh0, hnorms = k.rnn_backward(
+    dv, dbias, dpre, _dh0, hnorms = rnn_backward(
         fwd.v, h, gout, model.linear_mode
     )
     du_in = np.einsum("tbn,btd->nd", dpre, batch.inputs)
@@ -238,7 +280,7 @@ def bptt(model, batch, fwd=None, gamma_mode=None, kernels=None,
         )
     grads = ModelGrads(
         u_in=du_in,
-        b_hidden=np.zeros_like(dbias) if model.linear_mode else dbias,
+        b_hidden=dbias,
         w_out=dw_out,
         b_out=db_out,
         v=dv,
@@ -249,8 +291,8 @@ def bptt(model, batch, fwd=None, gamma_mode=None, kernels=None,
     return grads
 
 
-def gradient_norm_trace(model, batch, kernels=None):
+def gradient_norm_trace(model, batch):
     """Norm of dL/dh_t recorded during the backward sweep, one entry per
     time gap from the end of the sequence (gap 0 first)."""
-    _, hnorms = bptt(model, batch, kernels=kernels, return_hnorms=True)
+    _, hnorms = bptt(model, batch, return_hnorms=True)
     return hnorms

@@ -8,7 +8,7 @@ eigenvalue moduli and non-normal structure are controlled independently.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "regularizer_loss_and_grads",
     "init_params",
     "t_lower_mask",
-    "connectivity_param_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -272,14 +271,6 @@ def init_params(n, scheme="henaff", rng_seed=0):
         theta=theta,
         t_lower=np.zeros((n, n)),
     )
-
-
-def connectivity_param_count(n):
-    """Number of independent parameters in the connectivity parametrization:
-    lower half of b_skew, t_lower off the rotation blocks, gamma, theta."""
-    b_count = n * (n - 1) // 2
-    t_count = n * (n - 1) // 2 - n // 2
-    return b_count + t_count + n // 2 + n // 2
 
 
 # --- checkpoint serialization -------------------------------------------------

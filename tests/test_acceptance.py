@@ -203,7 +203,7 @@ def test_criterion_5_gradient_correctness():
 def test_criterion_6_manifold_preservation():
     spec = tasks.CopyTaskSpec(delay=50, batch_size=10, seed=0)
     model = rnn.init_model(128, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
-    cfg = TrainConfig(max_updates=2000, log_every=10, seed=0)
+    cfg = TrainConfig(max_updates=2000, log_every=10)
     res = train_loop(model, tasks.copy_stream(spec), cfg)
     worst = max(r.orth_err for r in res.records)
     report(6, worst <= 1e-8,
@@ -247,7 +247,7 @@ def test_criterion_8_copy_task_learning():
         model = rnn.init_model(128, tasks.COPY_D_IN, tasks.COPY_D_OUT,
                                seed=seed)
         stream = tasks.copy_stream(spec)
-        cfg_chunk = TrainConfig(max_updates=500, log_every=25, seed=seed)
+        cfg_chunk = TrainConfig(max_updates=500, log_every=25)
         best, used = np.inf, 0
         hit = False
         while used < 10000 and not hit:

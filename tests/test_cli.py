@@ -66,6 +66,13 @@ def test_unknown_key_exit_1(tmp_path):
     assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_train_seed_key_exit_1(tmp_path, capsys):
+    # the run's seed is the top-level "seed" (or --seed); "train" has none
+    path = train_config(tmp_path, train={"max_updates": 1, "seed": 3})
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_task_kind_exit_1(tmp_path):
     path = write_json(tmp_path / "bad.json", {
         "task": {"kind": "sudoku"}, "model": {"n": 8}})

@@ -6,23 +6,8 @@ from schurrnn.linalg import (
     expm,
     expm_frechet,
     gram_schmidt_triangular,
-    matmul,
     singular_values,
 )
-
-
-def matmul_oracle(a, b):
-    """Triple-loop reference product."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for l in range(k):
-                s += a[i, l] * b[l, j]
-            out[i, j] = s
-    return out
 
 
 def expm_taylor(b, terms=60):
@@ -44,23 +29,6 @@ def power_iteration_sigma_max(m, iters=2000, seed=0):
         v = g @ v
         v /= np.linalg.norm(v)
     return float(np.sqrt(v @ g @ v))
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 3))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-13)
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        matmul(np.array([[np.nan, 0.0]]), np.zeros((2, 2)))
 
 
 def test_expm_zero_and_diagonal():

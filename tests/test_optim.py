@@ -62,20 +62,23 @@ def test_train_config_validation():
 def test_train_loop_smoke_and_loss_decrease():
     spec = tasks.CopyTaskSpec(delay=5, batch_size=8, seed=0)
     model = init_model(16, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
-    cfg = TrainConfig(max_updates=120, log_every=20, seed=0)
+    cfg = TrainConfig(max_updates=120, log_every=20)
     res = train_loop(model, tasks.copy_stream(spec), cfg)
     assert len(res.records) == 6
     assert res.records[-1].loss < res.records[0].loss
     assert all(r.orth_err < 1e-10 for r in res.records)
 
 
-def test_train_loop_clamped_gamma_fixed():
+@pytest.mark.parametrize("clamp", [1.0, 0.9])
+def test_train_loop_clamped_gamma_fixed(clamp):
+    # henaff starts gamma at 1, so only the 0.9 case shows that the clamp
+    # is applied rather than gamma being left untouched
     spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
     model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
     cfg = TrainConfig(max_updates=30, log_every=10, gamma_mode="clamped",
-                      gamma_clamp=1.0)
+                      gamma_clamp=clamp)
     train_loop(model, tasks.copy_stream(spec), cfg)
-    assert np.all(model.schur.gamma == 1.0)
+    assert np.all(model.schur.gamma == clamp)
 
 
 def test_train_loop_free_gamma_moves():
@@ -84,6 +87,20 @@ def test_train_loop_free_gamma_moves():
     cfg = TrainConfig(max_updates=30, log_every=10, gamma_mode="free")
     train_loop(model, tasks.copy_stream(spec), cfg)
     assert np.any(model.schur.gamma != 1.0)
+
+
+def test_train_loop_vanilla_updates_every_tensor():
+    spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
+    model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT,
+                       cell_kind="vanilla", seed=0)
+    names = ("u_in", "b_hidden", "w_out", "b_out", "v_dense")
+    before = {name: getattr(model, name).copy() for name in names}
+    res = train_loop(model, tasks.copy_stream(spec),
+                     TrainConfig(max_updates=10, log_every=5))
+    for name in names:
+        assert np.all(np.isfinite(getattr(model, name))), name
+        assert np.any(getattr(model, name) != before[name]), name
+    assert all(np.isfinite(r.grad_norm_total) for r in res.records)
 
 
 def test_train_loop_vanilla_divergence():
@@ -151,7 +168,7 @@ def test_training_determinism():
         spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=1)
         model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=1)
         res = train_loop(model, tasks.copy_stream(spec),
-                         TrainConfig(max_updates=25, log_every=5, seed=1))
+                         TrainConfig(max_updates=25, log_every=5))
         return [r.loss for r in res.records], model.schur.b_skew.copy()
 
     l1, b1 = run()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from schurrnn._backend import get_kernels
 from schurrnn.rnn import (
     SequenceBatch,
     bptt,
@@ -9,6 +8,8 @@ from schurrnn.rnn import (
     gradient_norm_trace,
     init_model,
     modrelu,
+    rnn_backward,
+    rnn_forward,
 )
 from schurrnn.schur import t_lower_mask
 
@@ -148,28 +149,37 @@ def test_bptt_finite_differences(cell_kind):
             assert abs(num - grads.schur.b_skew[i, j]) <= 1e-5 * max(1.0, abs(num))
 
 
-def test_backend_parity():
-    """Compiled and python kernels agree on forward and backward."""
-    try:
-        kc = get_kernels("compiled")
-    except ImportError:
-        pytest.skip("compiled extension not built")
-    kp = get_kernels("python")
-    rng = np.random.default_rng(9)
-    n, t, b = 16, 12, 5
-    v = np.ascontiguousarray(rng.normal(0, 1 / np.sqrt(n), (n, n)))
-    pre = np.ascontiguousarray(rng.normal(size=(t, b, n)))
-    bias = np.ascontiguousarray(rng.normal(size=n) * 0.1)
-    h0 = np.ascontiguousarray(rng.normal(size=(b, n)))
-    gout = np.ascontiguousarray(rng.normal(size=(t, b, n)))
-    for linear in (False, True):
-        hp = kp.rnn_forward(v, pre, bias, h0, linear)
-        hc = kc.rnn_forward(v, pre, bias, h0, linear)
-        assert np.allclose(hp, hc, atol=1e-12)
-        rp = kp.rnn_backward(v, hp, gout, linear)
-        rc = kc.rnn_backward(v, hc, gout, linear)
-        for a, c in zip(rp, rc):
-            assert np.allclose(np.asarray(a), np.asarray(c), atol=1e-10)
+def backward_per_step(v, h, gout, linear):
+    """Reference sweep that accumulates dV and dbias step by step."""
+    t_len, batch, n = gout.shape
+    dv, dbias = np.zeros((n, n)), np.zeros(n)
+    dh = np.zeros((batch, n))
+    for t in range(t_len, 0, -1):
+        dh = dh + gout[t - 1]
+        dz = dh if linear else np.where(h[t] != 0.0, dh, 0.0)
+        if not linear:
+            dbias += np.sum(dz * np.sign(h[t]), axis=0)
+        dv += dz.T @ h[t - 1]
+        dh = dz @ v
+    return dv, dbias
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_rnn_backward_matches_per_step_accumulation(linear):
+    """The after-sweep contraction for dV and dbias sums the same terms as
+    a per-step accumulation, only in another order."""
+    rng = np.random.default_rng(12)
+    n, t_len, b = 32, 40, 6
+    v = rng.normal(0, 1 / np.sqrt(n), (n, n))
+    bias = rng.normal(size=n) * 0.5  # cuts some units, so the mask matters
+    h = rnn_forward(v, rng.normal(size=(t_len, b, n)), bias,
+                    rng.normal(size=(b, n)), linear)
+    assert linear or np.any(h[1:] == 0.0)
+    gout = rng.normal(size=(t_len, b, n))
+    dv, dbias, *_ = rnn_backward(v, h, gout, linear)
+    ref_dv, ref_dbias = backward_per_step(v, h, gout, linear)
+    assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
+    assert np.linalg.norm(dbias - ref_dbias) <= 1e-13 * np.linalg.norm(ref_dbias)
 
 
 def test_non_finite_hidden_raises():

@@ -8,7 +8,6 @@ from schurrnn.schur import (
     assemble_theta,
     assemble_v,
     backward_v,
-    connectivity_param_count,
     init_params,
     load_checkpoint,
     regularizer_loss_and_grads,
@@ -173,13 +172,6 @@ def test_init_schemes():
     assert np.array_equal(a.theta, b.theta)
     with pytest.raises(ValueError):
         init_params(8, scheme="nope")
-
-
-def test_param_count():
-    # independent entries: lower b_skew + masked t_lower + gamma + theta
-    for n in (2, 4, 8, 16):
-        expected = n * (n - 1) // 2 + (n * (n - 1) // 2 - n // 2) + n
-        assert connectivity_param_count(n) == expected
 
 
 def test_checkpoint_roundtrip(tmp_path):
