@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_schmidt_triangular, singular_values
-
 __all__ = [
     "FmcConfig",
     "FmcResult",
@@ -31,6 +29,7 @@ __all__ = [
     "fisher_memory_curve",
     "fmc_from_theta",
     "delay_line_fmc_closed_form",
+    "gram_schmidt_triangular",
     "prop1_bound_check",
     "Prop1Report",
     "transient_ensemble",
@@ -201,6 +200,41 @@ class Prop1Report:
     holds: bool
 
 
+def gram_schmidt_triangular(theta, rank_tol=1e-12):
+    """Orthogonalize the columns of ``theta``.
+
+    Returns ``(q, t_gram)`` with ``theta[:, :m] = q @ t_gram`` where ``m`` is
+    the number of leading nonzero columns.  ``t_gram`` is upper triangular
+    with unit diagonal (the column norms are folded into ``q``, whose columns
+    stay mutually orthogonal).  Structurally-zero trailing columns, as in a
+    strictly lower-triangular matrix, are dropped.
+
+    Raises ``numpy.linalg.LinAlgError`` when the leading columns are
+    rank deficient.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2:
+        raise ValueError(f"theta must be 2-D, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta contains non-finite entries")
+    n, m_all = theta.shape
+    if n != m_all:
+        raise ValueError(f"gram_schmidt_triangular requires square input, got {theta.shape}")
+    nonzero = np.any(theta != 0.0, axis=0)
+    m = int(np.max(np.nonzero(nonzero)[0])) + 1 if nonzero.any() else 0
+    if m == 0:
+        raise np.linalg.LinAlgError("all columns are zero")
+    cols = theta[:, :m]
+    q, r = np.linalg.qr(cols)
+    d = np.diag(r).copy()
+    scale = np.linalg.norm(cols, axis=0)
+    if np.any(np.abs(d) <= rank_tol * np.maximum(scale, 1.0)):
+        raise np.linalg.LinAlgError("leading columns are rank deficient")
+    t_gram = r / d[:, None]
+    q = q * d[None, :]
+    return q, t_gram
+
+
 def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     """Verify the lower bound on the memory curve of a strictly
     lower-triangular matrix with sqrt(alpha) on its sub-diagonal:
@@ -221,7 +255,7 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     alpha = float(sub[0]) ** 2
 
     _, t_gram = gram_schmidt_triangular(theta)
-    sigma_max = float(singular_values(t_gram)[0])
+    sigma_max = float(np.linalg.norm(t_gram, 2))
 
     res = fmc_from_theta(theta, eps=eps, k_max=n - 1)
     j = res.j_curve[:n]

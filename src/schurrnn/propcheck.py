@@ -18,7 +18,6 @@ from math import comb
 
 import numpy as np
 
-from .linalg import singular_values
 from .polymat import ONE, X, ZERO, PolyMat, poly_add, poly_degree, poly_mul
 
 __all__ = [
@@ -188,7 +187,7 @@ def iterate_growth_probe(m, t_max=100, const_tol=1e-6, growth_ratio=1.6):
             stopped = True
             break
         ts.append(t)
-        sig.append(float(singular_values(power)[0]))
+        sig.append(float(np.linalg.norm(power, 2)))
     ts = np.array(ts)
     sig = np.array(sig)
     logs = np.log(sig)

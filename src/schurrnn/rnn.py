@@ -195,8 +195,7 @@ def _resolve_v(model, v=None):
         return v, None
     if model.cell_kind == "vanilla":
         return model.v_dense, None
-    vv, p, theta = schur_mod.assemble_v(model.schur)
-    return vv, (p, theta)
+    return schur_mod.assemble_v(model.schur)
 
 
 def _log_softmax(logits):

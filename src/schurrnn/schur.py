@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm, expm_frechet
-
 __all__ = [
     "GammaMode",
     "SchurParams",
@@ -130,15 +128,6 @@ class SchurParamGrads:
     theta: np.ndarray
     t_lower: np.ndarray
 
-    @classmethod
-    def zeros(cls, n):
-        return cls(
-            np.zeros((n, n)),
-            np.zeros(n // 2),
-            np.zeros(n // 2),
-            np.zeros((n, n)),
-        )
-
 
 def rotation_block(gamma, theta):
     """2x2 scaled rotation with eigenvalues gamma * e^{+-i theta}."""
@@ -160,52 +149,65 @@ def assemble_theta(p):
 
 
 def assemble_v(p):
-    """Return (V, P, Theta) with V = P Theta P^T and P = exp(b_skew).
+    """Return (V, cache) with V = P Theta P^T and P = exp(b_skew).
 
-    P and Theta are the cache consumed by :func:`backward_v`.
+    -i B is Hermitian, so one eigendecomposition B = U diag(i omega) U^H
+    gives P = Re(U diag(e^{i omega}) U^H).  The cache (P, Theta, U, omega)
+    is consumed by :func:`backward_v`.
     """
-    big_p = expm(p.b_skew)
+    omega, u = np.linalg.eigh(-1j * p.b_skew)
+    big_p = ((u * np.exp(1j * omega)) @ u.conj().T).real
     theta = assemble_theta(p)
     v = big_p @ theta @ big_p.T
-    return v, big_p, theta
+    return v, (big_p, theta, u, omega)
 
 
 def backward_v(p, grad_v, cache, gamma_mode=None):
     """Map a loss gradient on V back to gradients on the Schur parameters.
 
-    ``cache`` is the (P, Theta) pair returned by :func:`assemble_v`.  The
-    b_skew gradient is expressed on the independent lower-half entries and
-    mirrored, so it is itself skew-symmetric.
+    ``cache`` is the (P, Theta, U, omega) tuple returned by
+    :func:`assemble_v`.  The b_skew gradient is expressed on the
+    independent lower-half entries and mirrored, so it is itself
+    skew-symmetric.
     """
-    big_p, theta = cache
+    big_p, theta, u, omega = cache
     n = p.n
     grad_v = np.asarray(grad_v, dtype=np.float64)
     if grad_v.shape != (n, n):
         raise ValueError(f"grad_v shape {grad_v.shape} does not match n={n}")
 
-    grads = SchurParamGrads.zeros(n)
-
     # dL/dTheta = P^T G P
     grad_theta = big_p.T @ grad_v @ big_p
 
-    grads.t_lower = np.where(t_lower_mask(n), grad_theta, 0.0)
-
-    for i in range(n // 2):
-        g = grad_theta[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        c, s = np.cos(p.theta[i]), np.sin(p.theta[i])
-        d_gamma = np.array([[c, -s], [s, c]])
-        d_theta = p.gamma[i] * np.array([[-s, -c], [c, -s]])
-        grads.gamma[i] = np.sum(g * d_gamma)
-        grads.theta[i] = np.sum(g * d_theta)
+    # Block i is gamma_i [[c, -s], [s, c]] on the block diagonal of Theta.
+    diag = np.diagonal(grad_theta)
+    g00, g11 = diag[0::2], diag[1::2]
+    g10 = np.diagonal(grad_theta, -1)[0::2]
+    g01 = np.diagonal(grad_theta, 1)[0::2]
+    c, s = np.cos(p.theta), np.sin(p.theta)
+    d_gamma = c * (g00 + g11) + s * (g10 - g01)
+    d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
     if gamma_mode is not None and gamma_mode.kind == "clamped":
-        grads.gamma[:] = 0.0
+        d_gamma[:] = 0.0
 
     # dL/dP, then pull back through the exponential map.  The adjoint of the
-    # Frechet derivative of expm at B is E -> L(B^T, E).
+    # Frechet derivative of exp at B = U diag(i omega) U^H is
+    # G -> U (conj(Phi) o (U^H G U)) U^H with the divided differences
+    # Phi_jk = e^{i (omega_j + omega_k) / 2} sinc((omega_j - omega_k) / 2),
+    # which need no special case for equal eigenvalues.
     grad_p = grad_v @ big_p @ theta.T + grad_v.T @ big_p @ theta
-    _, adj = expm_frechet(p.b_skew.T, grad_p)
-    grads.b_skew = adj - adj.T
-    return grads
+    half_sum = 0.5 * (omega[:, None] + omega[None, :])
+    half_diff = 0.5 * (omega[:, None] - omega[None, :])
+    phi_bar = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+    uh = u.conj().T
+    adj = (u @ (phi_bar * (uh @ grad_p @ u)) @ uh).real
+
+    return SchurParamGrads(
+        b_skew=adj - adj.T,
+        gamma=d_gamma,
+        theta=d_theta,
+        t_lower=np.where(t_lower_mask(n), grad_theta, 0.0),
+    )
 
 
 def regularizer_loss_and_grads(p, mode, t_decay):

@@ -10,6 +10,7 @@ from schurrnn.memory import (
     delay_line_theta,
     fisher_memory_curve,
     fmc_from_theta,
+    gram_schmidt_triangular,
     noise_covariance,
     prop1_bound_check,
     transient_ensemble,
@@ -151,6 +152,37 @@ def test_d_positive_extends_memory():
     cfg = FmcConfig(n=12, d=0.2, alpha=1.0, beta=0.0, k_max=20)
     res = fisher_memory_curve(cfg)
     assert np.all(res.j_curve[12:] > 0.0)
+
+
+def test_gram_schmidt_reconstruction_and_unit_diagonal():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        theta = rng.normal(size=(7, 7))
+        q, t_gram = gram_schmidt_triangular(theta)
+        assert np.allclose(q @ t_gram, theta, atol=1e-12)
+        assert np.allclose(np.diag(t_gram), 1.0)
+        assert np.allclose(np.tril(t_gram, -1), 0.0)
+        # columns of q mutually orthogonal
+        g = q.T @ q
+        assert np.allclose(g - np.diag(np.diag(g)), 0.0, atol=1e-10)
+
+
+def test_gram_schmidt_drops_trailing_zero_columns():
+    theta = np.zeros((4, 4))
+    theta[1, 0] = 2.0
+    theta[2, 1] = 1.0
+    theta[3, 2] = 0.5
+    q, t_gram = gram_schmidt_triangular(theta)
+    assert t_gram.shape == (3, 3)
+    assert np.allclose(q @ t_gram, theta[:, :3])
+
+
+def test_gram_schmidt_rank_deficient_raises():
+    theta = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        gram_schmidt_triangular(theta)
+    with pytest.raises(np.linalg.LinAlgError):
+        gram_schmidt_triangular(np.zeros((3, 3)))
 
 
 def test_prop1_delay_line_equality():

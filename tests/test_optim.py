@@ -44,7 +44,7 @@ def test_stiefel_step_preserves_skewness():
         grad = rng.normal(size=(n, n))  # arbitrary, not even skew
         b, state = stiefel_step(b, grad, state, 1e-3, 0.9)
         assert np.array_equal(b, -b.T)
-    from schurrnn.linalg import expm
+    from scipy.linalg import expm
     q = expm(b)
     assert np.linalg.norm(q.T @ q - np.eye(n)) < 1e-12
 

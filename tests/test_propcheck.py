@@ -3,8 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from schurrnn.linalg import expm
 from schurrnn.propcheck import (
     iterate_growth_probe,
     prop2_matrix,

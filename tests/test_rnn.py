@@ -211,7 +211,7 @@ def _trace_model(v, t_len=12):
 def test_gradient_trace_orthogonal_constant():
     rng = np.random.default_rng(11)
     g = rng.normal(size=(6, 6))
-    from schurrnn.linalg import expm
+    from scipy.linalg import expm
     q = expm(np.tril(g, -1) - np.tril(g, -1).T)
     trace = _trace_model(q)
     inner = trace[:-1]  # last entry is the h0 gap
@@ -232,5 +232,4 @@ def test_gradient_trace_polynomial_with_unit_triangular():
     assert trace[-2] > trace[0]
     growth = trace[-2] / trace[0]
     t_len = 12
-    from schurrnn.linalg import singular_values
-    assert growth < singular_values(v)[0] ** t_len
+    assert growth < np.linalg.norm(v, 2) ** t_len

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
-from schurrnn.linalg import eigenvalues_small
+import schurrnn
 from schurrnn.schur import (
     GammaMode,
     SchurParams,
@@ -64,7 +69,7 @@ def test_rotation_block_spectrum():
 
 def test_assemble_v_structure():
     p = random_params(8, seed=0)
-    v, big_p, theta = assemble_v(p)
+    v, (big_p, theta, _, _) = assemble_v(p)
     assert np.linalg.norm(big_p.T @ big_p - np.eye(8)) < 1e-13
     assert np.allclose(v, big_p @ theta @ big_p.T)
     # Theta carries the blocks and the strictly-lower part
@@ -79,8 +84,8 @@ def test_spectrum_independent_of_t_and_p():
     rng = np.random.default_rng(1)
     for seed in range(50):
         p = random_params(8, seed=seed, t_scale=rng.uniform(0.0, 2.0))
-        v, _, _ = assemble_v(p)
-        w = np.sort_complex(eigenvalues_small(v))
+        v, _ = assemble_v(p)
+        w = np.sort_complex(np.linalg.eigvals(v))
         expected = []
         for g, t in zip(p.gamma, p.theta):
             expected += [g * np.exp(1j * t), g * np.exp(-1j * t)]
@@ -89,7 +94,7 @@ def test_spectrum_independent_of_t_and_p():
 
 
 def _loss(p, w):
-    v, _, _ = assemble_v(p)
+    v, _ = assemble_v(p)
     return float(np.sum(w * v))
 
 
@@ -98,8 +103,8 @@ def test_backward_v_finite_differences():
     p = random_params(n, seed=2)
     rng = np.random.default_rng(3)
     w = rng.normal(size=(n, n))
-    v, big_p, theta = assemble_v(p)
-    grads = backward_v(p, w, (big_p, theta))
+    v, cache = assemble_v(p)
+    grads = backward_v(p, w, cache)
     eps = 1e-6
 
     def fd(setter):
@@ -133,12 +138,75 @@ def test_backward_v_finite_differences():
     assert np.allclose(grads.b_skew, -grads.b_skew.T)
 
 
+def test_backward_v_block_grads_match_per_block_loop():
+    """The vectorized gamma/theta gradients against the per-block sums of
+    dL/dTheta times the derivatives of gamma R(theta)."""
+    n = 16
+    p = random_params(n, seed=8)
+    _, cache = assemble_v(p)
+    big_p, _, _, _ = cache
+    grad_v = np.random.default_rng(9).normal(size=(n, n))
+    grads = backward_v(p, grad_v, cache)
+    grad_theta = big_p.T @ grad_v @ big_p
+    for i in range(n // 2):
+        g = grad_theta[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+        c, s = np.cos(p.theta[i]), np.sin(p.theta[i])
+        d_gamma = np.sum(g * np.array([[c, -s], [s, c]]))
+        d_theta = np.sum(g * p.gamma[i] * np.array([[-s, -c], [c, -s]]))
+        assert abs(grads.gamma[i] - d_gamma) <= 1e-13 * max(1.0, abs(d_gamma))
+        assert abs(grads.theta[i] - d_theta) <= 1e-13 * max(1.0, abs(d_theta))
+
+
 def test_backward_v_clamped_zeroes_gamma():
     p = random_params(6, seed=4)
-    v, big_p, theta = assemble_v(p)
-    g = backward_v(p, np.ones((6, 6)), (big_p, theta),
+    v, cache = assemble_v(p)
+    g = backward_v(p, np.ones((6, 6)), cache,
                    gamma_mode=GammaMode.clamped(1.0))
     assert np.all(g.gamma == 0.0)
+
+
+def _oracle_generator(n, case):
+    if case == "zero":
+        return np.zeros((n, n))
+    if case == "repeated_blocks":
+        b = np.zeros((n, n))
+        b[np.arange(1, n, 2), np.arange(0, n, 2)] = 1.3
+        return b - b.T
+    if case == "large_norm":
+        return 10.0 * init_params(n, scheme="random_orth", rng_seed=1).b_skew
+    return init_params(n, scheme=case, rng_seed=1).b_skew
+
+
+@pytest.mark.parametrize("case", ["henaff", "cayley", "random_orth", "zero",
+                                  "repeated_blocks", "large_norm"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_exponential_map_and_pullback_match_scipy(n, case):
+    """P and the b_skew gradient against scipy's Pade expm and the Frechet
+    adjoint L(B^T, G_P), independent of the eigendecomposition."""
+    p = random_params(n, seed=6)
+    p.b_skew = _oracle_generator(n, case)
+    _, cache = assemble_v(p)
+    big_p, theta, _, _ = cache
+    p_ref = expm(p.b_skew)
+    assert np.linalg.norm(big_p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+    grad_v = np.random.default_rng(7).normal(size=(n, n))
+    grads = backward_v(p, grad_v, cache)
+    grad_p = grad_v @ big_p @ theta.T + grad_v.T @ big_p @ theta
+    adj = expm_frechet(p.b_skew.T, grad_p, compute_expm=False)
+    ref = adj - adj.T
+    assert np.linalg.norm(grads.b_skew - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(schurrnn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import schurrnn, sys; assert not any("
+         "m.split('.')[0] == 'scipy' for m in sys.modules)"],
+        env=env, check=True)
 
 
 def test_regularizer_values_and_grads():
@@ -162,7 +230,7 @@ def test_init_schemes():
         assert np.all(p.gamma == 1.0)
         assert np.all(p.t_lower == 0.0)
         assert np.array_equal(p.b_skew, -p.b_skew.T)
-        v, big_p, _ = assemble_v(p)
+        v, _ = assemble_v(p)
         # at init V is orthogonal (gamma = 1, T = 0)
         assert np.linalg.norm(v.T @ v - np.eye(8)) < 1e-12
     # determinism
