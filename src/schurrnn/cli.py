@@ -66,23 +66,26 @@ _TRAIN_KEYS = {
 def _build_task(doc, batch_size, seed):
     _check_keys(doc, {"kind", "delay", "corpus", "window"}, {"kind"}, "task")
     kind = doc["kind"]
-    if kind == "copy":
-        spec = tasks.CopyTaskSpec(
-            delay=int(doc.get("delay", 50)),
-            batch_size=batch_size,
-            seed=seed,
-        )
-        return tasks.copy_stream(spec), tasks.COPY_D_IN, tasks.COPY_D_OUT
-    if kind == "char_lm":
-        if "corpus" not in doc:
-            raise ConfigError("task: char_lm requires a corpus path")
-        spec = tasks.CharLmSpec(
-            corpus_path=doc["corpus"],
-            window=int(doc.get("window", 150)),
-            batch_size=batch_size,
-            seed=seed,
-        )
-        return tasks.char_lm_stream(spec), spec.vocab_size, spec.vocab_size
+    if kind == "char_lm" and "corpus" not in doc:
+        raise ConfigError("task: char_lm requires a corpus path")
+    try:
+        if kind == "copy":
+            spec = tasks.CopyTaskSpec(
+                delay=int(doc.get("delay", 50)),
+                batch_size=batch_size,
+                seed=seed,
+            )
+            return tasks.copy_stream(spec), tasks.COPY_D_IN, tasks.COPY_D_OUT
+        if kind == "char_lm":
+            spec = tasks.CharLmSpec(
+                corpus_path=doc["corpus"],
+                window=int(doc.get("window", 150)),
+                batch_size=batch_size,
+                seed=seed,
+            )
+            return tasks.char_lm_stream(spec), spec.vocab_size, spec.vocab_size
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"task: {exc}")
     raise ConfigError(f"task: unknown kind {kind!r}")
 
 
@@ -98,22 +101,31 @@ def cmd_train(config_path, out_dir, seed_override):
     _check_keys(train_doc, _TRAIN_KEYS, set(), "train")
     try:
         config = TrainConfig(**train_doc)
+        config.mode()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}")
 
     stream, d_in, d_out = _build_task(doc["task"], config.batch_size, seed)
-    model = init_model(
-        n=int(model_doc["n"]),
-        d_in=d_in,
-        d_out=d_out,
-        cell_kind=model_doc.get("cell_kind", "schur"),
-        scheme=model_doc.get("scheme", "henaff"),
-        seed=seed,
-    )
+    try:
+        model = init_model(
+            n=int(model_doc["n"]),
+            d_in=d_in,
+            d_out=d_out,
+            cell_kind=model_doc.get("cell_kind", "schur"),
+            scheme=model_doc.get("scheme", "henaff"),
+            seed=seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
-    result = train_loop(model, stream, config)
-    write_log_csv(result.records, os.path.join(out_dir, "train_log.csv"))
+    log_path = os.path.join(out_dir, "train_log.csv")
+    try:
+        result = train_loop(model, stream, config)
+    except DivergenceError as exc:
+        write_log_csv(exc.records, log_path)
+        raise
+    write_log_csv(result.records, log_path)
     if model.cell_kind == "schur":
         schur.save_checkpoint(
             model.schur, os.path.join(out_dir, "checkpoint.json"),

@@ -42,7 +42,12 @@ LOG_COLUMNS = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the hidden state or the training loss stops being
+    finite.  ``records`` holds the log records written before it."""
+
+    def __init__(self, message, records=()):
+        super().__init__(message)
+        self.records = list(records)
 
 
 @dataclass
@@ -133,7 +138,8 @@ def train_loop(model, stream, config, on_record=None):
 
     The stream may set ``carry_hidden = True`` to have each window start
     from the previous window's final hidden state (no gradient flows across
-    the boundary).  Raises :class:`DivergenceError` on non-finite loss.
+    the boundary).  Raises :class:`DivergenceError`, naming the update, on
+    a non-finite hidden state or loss.
     """
     mode = config.mode()
     if model.cell_kind == "schur" and mode.kind == "clamped":
@@ -150,7 +156,10 @@ def train_loop(model, stream, config, on_record=None):
         if carry and last_hidden is not None:
             batch.h0 = last_hidden
 
-        fwd = rnn_mod.forward(model, batch)
+        try:
+            fwd = rnn_mod.forward(model, batch)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"{exc} at update {update}", records) from exc
         grads = rnn_mod.bptt(model, batch, fwd=fwd, gamma_mode=mode)
         last_hidden = fwd.final_hidden
 
@@ -189,7 +198,7 @@ def train_loop(model, stream, config, on_record=None):
 
         total = task_loss + reg_loss
         if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss at update {update}")
+            raise DivergenceError(f"non-finite loss at update {update}", records)
 
         if config.log_every and update % config.log_every == 0:
             if model.cell_kind == "schur":

@@ -36,7 +36,8 @@ def modrelu(z, b):
     z = np.asarray(z, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     mag = np.abs(z) + b
-    return np.where(mag > 0.0, mag * np.sign(z), 0.0)
+    # Select on ``mag <= 0`` so that a NaN pre-activation stays NaN.
+    return np.where(mag <= 0.0, 0.0, mag * np.sign(z))
 
 
 # Time-major layout throughout the recurrence: ``pre`` and ``dpre`` are
@@ -153,6 +154,7 @@ class ModelGrads:
 @dataclass
 class ForwardResult:
     logits: np.ndarray          # (B, T, d_out)
+    logp: np.ndarray            # (B, T, d_out) log-softmax of the logits
     hidden: np.ndarray          # (T+1, B, n) time-major trace
     loss: float
     final_hidden: np.ndarray    # (B, n)
@@ -204,6 +206,12 @@ def _log_softmax(logits):
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
+def _time_major_rows(a):
+    """(B, T, k) -> (T*B, k) with rows in the recurrence's time-major
+    order, so the projections and head gradients are single GEMMs."""
+    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+
+
 def forward(model, batch, v=None):
     """Forward pass: hidden trace, logits, and mean cross entropy (nats)
     over the scored steps."""
@@ -211,7 +219,7 @@ def forward(model, batch, v=None):
     b, t_len, _ = batch.inputs.shape
     n = model.n
 
-    pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
+    pre = (_time_major_rows(batch.inputs) @ model.u_in.T).reshape(t_len, b, n)
     h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
     h = rnn_forward(vv, pre, model.b_hidden, h0, model.linear_mode)
 
@@ -219,12 +227,13 @@ def forward(model, batch, v=None):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
         raise FloatingPointError(f"non-finite hidden state at step {bad}")
 
-    logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
+    logits = (h[1:].reshape(-1, n) @ model.w_out.T + model.b_out).reshape(
+        t_len, b, -1).transpose(1, 0, 2)
+    logp = _log_softmax(logits)
 
     mask = batch.score_mask
     n_scored = int(mask.sum())
     if n_scored:
-        logp = _log_softmax(logits)
         tgt = np.where(mask, batch.targets, 0)
         picked = np.take_along_axis(logp, tgt[..., None], axis=-1)[..., 0]
         loss = float(-np.sum(picked[mask]) / n_scored)
@@ -233,6 +242,7 @@ def forward(model, batch, v=None):
 
     return ForwardResult(
         logits=logits,
+        logp=logp,
         hidden=h,
         loss=loss,
         final_hidden=h[-1].copy(),
@@ -256,21 +266,23 @@ def bptt(model, batch, fwd=None, gamma_mode=None, return_hnorms=False):
     mask = batch.score_mask
     dlogits = np.zeros_like(fwd.logits)
     if fwd.n_scored:
-        p = np.exp(_log_softmax(fwd.logits))
+        p = np.exp(fwd.logp)
         tgt = np.where(mask, batch.targets, 0)
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, tgt[..., None], 1.0, axis=-1)
         dlogits = (p - onehot) * mask[..., None] / fwd.n_scored
 
     h = fwd.hidden
-    dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
+    n = model.n
+    dl = _time_major_rows(dlogits)
+    dw_out = dl.T @ h[1:].reshape(-1, n)
     db_out = dlogits.sum(axis=(0, 1))
-    gout = np.einsum("bto,on->tbn", dlogits, model.w_out)
+    gout = (dl @ model.w_out).reshape(t_len, b, n)
 
     dv, dbias, dpre, _dh0, hnorms = rnn_backward(
         fwd.v, h, gout, model.linear_mode
     )
-    du_in = np.einsum("tbn,btd->nd", dpre, batch.inputs)
+    du_in = dpre.reshape(-1, n).T @ _time_major_rows(batch.inputs)
 
     schur_grads = None
     if model.cell_kind == "schur":

@@ -73,6 +73,49 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [
+    {"train": {"batch_size": 0}},
+    {"train": {"gamma_mode": "bogus"}},
+    {"model": {"n": 7}},
+    {"model": {"n": 8, "scheme": "bogus"}},
+    {"task": {"kind": "copy", "delay": 0}},
+    {"model": {"n": 8, "cell_kind": "bogus"}},
+], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind"])
+def test_invalid_train_value_exit_1(tmp_path, capsys, over):
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", train_config(tmp_path, **over),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):
+    build_task = cli._build_task
+
+    def poisoned(doc, batch_size, seed):
+        stream, d_in, d_out = build_task(doc, batch_size, seed)
+
+        def batches():
+            for i, batch in enumerate(stream, start=1):
+                if i == 11:
+                    batch.inputs[0, 0, 0] = np.nan
+                yield batch
+        return batches(), d_in, d_out
+
+    monkeypatch.setattr(cli, "_build_task", poisoned)
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", train_config(tmp_path),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:") and "at update 11" in err
+    rows = list(csv.reader((out / "train_log.csv").open()))
+    assert [r[0] for r in rows] == ["update", "5", "10"]
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_bad_task_kind_exit_1(tmp_path):
     path = write_json(tmp_path / "bad.json", {
         "task": {"kind": "sudoku"}, "model": {"n": 8}})

@@ -11,7 +11,7 @@ from schurrnn.rnn import (
     rnn_backward,
     rnn_forward,
 )
-from schurrnn.schur import t_lower_mask
+from schurrnn.schur import backward_v, t_lower_mask
 
 
 def random_batch(b, t, d_in, d_out, seed=0):
@@ -31,6 +31,17 @@ def test_modrelu_cases():
     # zero bias: identity
     z = np.linspace(-2, 2, 9)
     assert np.allclose(modrelu(z, np.zeros(9)), z)
+
+
+def test_nan_pre_activation_propagates():
+    """modReLU keeps a NaN input NaN, so forward's non-finite check sees
+    it instead of training on a silently zeroed unit."""
+    for b in (-1.0, 0.0, 1.0):
+        assert np.isnan(modrelu(np.nan, b))
+    model = init_model(8, 3, 2, seed=0)
+    model.u_in[2] = np.nan
+    with pytest.raises(FloatingPointError):
+        forward(model, random_batch(2, 5, 3, 2))
 
 
 def test_forward_isometry_with_orthogonal_v():
@@ -180,6 +191,61 @@ def test_rnn_backward_matches_per_step_accumulation(linear):
     ref_dv, ref_dbias = backward_per_step(v, h, gout, linear)
     assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
     assert np.linalg.norm(dbias - ref_dbias) <= 1e-13 * np.linalg.norm(ref_dbias)
+
+
+def assert_rel_close(got, ref, label, tol=1e-13):
+    err = np.linalg.norm(got - ref)
+    assert err <= tol * np.linalg.norm(ref), (label, err)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("carry", [False, True])
+@pytest.mark.parametrize("b,t_len,n,d_in,d_out", [
+    (10, 70, 128, 10, 9),    # copy task
+    (8, 150, 64, 56, 56),    # char-LM
+])
+def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, linear):
+    """The GEMM input projection, output head and head gradients agree
+    with the einsum contractions they replaced.  ``carry`` adds an h0 and
+    a partial score mask."""
+    model = init_model(n, d_in, d_out, scheme="cayley", seed=3,
+                       linear_mode=linear)
+    rng = np.random.default_rng(4)
+    model.b_hidden = rng.normal(size=n) * 0.1
+    model.b_out = rng.normal(size=d_out)
+    batch = random_batch(b, t_len, d_in, d_out, seed=5)
+    if carry:
+        batch.h0 = rng.normal(size=(b, n))
+        batch.score_mask = rng.random((b, t_len)) < 0.6
+    fwd = forward(model, batch)
+    grads = bptt(model, batch, fwd=fwd)
+
+    h0 = batch.h0 if carry else np.zeros((b, n))
+    pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
+    h = rnn_forward(fwd.v, pre, model.b_hidden, h0, linear)
+    logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
+    assert_rel_close(fwd.hidden, h, "hidden")
+    assert_rel_close(fwd.logits, logits, "logits")
+
+    mask = batch.score_mask
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    onehot = np.eye(d_out)[batch.targets]
+    dlogits = (p - onehot) * mask[..., None] / mask.sum()
+    dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
+    gout = np.einsum("bto,on->tbn", dlogits, model.w_out)
+    dv, dbias, dpre, _, _ = rnn_backward(fwd.v, h, gout, linear)
+    du_in = np.einsum("tbn,btd->nd", dpre, batch.inputs)
+    ref_schur = backward_v(model.schur, dv, fwd.schur_cache)
+
+    assert_rel_close(grads.u_in, du_in, "u_in")
+    assert_rel_close(grads.b_hidden, dbias, "b_hidden")
+    assert_rel_close(grads.w_out, dw_out, "w_out")
+    assert_rel_close(grads.b_out, dlogits.sum(axis=(0, 1)), "b_out")
+    assert_rel_close(grads.v, dv, "v")
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert_rel_close(getattr(grads.schur, name),
+                         getattr(ref_schur, name), name)
 
 
 def test_non_finite_hidden_raises():
