@@ -8,7 +8,6 @@ exact polynomial-growth verification, and connectivity diagnostics.
 """
 
 from .schur import (
-    GammaMode,
     SchurParams,
     assemble_theta,
     assemble_v,
@@ -37,6 +36,6 @@ from .tasks import (
     copy_batch,
     copy_stream,
 )
-from .analysis import connectivity_report, run_comparison
+from .analysis import connectivity_report
 
 __version__ = "0.1.0"

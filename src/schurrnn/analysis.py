@@ -12,7 +12,6 @@ from .schur import assemble_v
 __all__ = [
     "ConnectivityReport",
     "connectivity_report",
-    "run_comparison",
     "write_report_json",
     "write_profile_csv",
 ]
@@ -79,27 +78,6 @@ def _regime(ratio):
     if ratio > NONNORMAL_RATIO:
         return "non-normal"
     return "intermediate"
-
-
-def run_comparison(report_a, report_b):
-    """Per-field deltas (b minus a) plus a regime label for each report."""
-    if report_a.n != report_b.n:
-        raise ValueError("reports have different hidden sizes")
-    return {
-        "n": report_a.n,
-        "delta_mean_gamma": report_b.mean_gamma - report_a.mean_gamma,
-        "delta_t_frobenius": report_b.t_frobenius - report_a.t_frobenius,
-        "delta_top_singular_value": (
-            report_b.top_singular_value - report_a.top_singular_value
-        ),
-        "delta_subdiag_profile": (
-            report_b.subdiag_profile - report_a.subdiag_profile
-        ).tolist(),
-        "ratio_a": report_a.nonnormality_ratio,
-        "ratio_b": report_b.nonnormality_ratio,
-        "regime_a": _regime(report_a.nonnormality_ratio),
-        "regime_b": _regime(report_b.nonnormality_ratio),
-    }
 
 
 def write_report_json(report, path):

@@ -101,7 +101,6 @@ def cmd_train(config_path, out_dir, seed_override):
     _check_keys(train_doc, _TRAIN_KEYS, set(), "train")
     try:
         config = TrainConfig(**train_doc)
-        config.mode()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}")
 
@@ -168,7 +167,7 @@ def cmd_fmc(config_path, out_dir, seed_override):
             raise ConfigError(f"sweep[{i}]: {exc}")
         try:
             res = memory.fisher_memory_curve(cfg)
-        except memory.SeriesDivergenceError:
+        except DivergenceError:
             summary.append([i, cfg.n, repr(cfg.d), repr(cfg.alpha),
                             repr(cfg.beta), "", "diverged"])
             worst = 2
@@ -312,9 +311,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except memory.SeriesDivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

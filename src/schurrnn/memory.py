@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schur import DivergenceError
+
 __all__ = [
     "FmcConfig",
     "FmcResult",
-    "SeriesDivergenceError",
     "build_theta_family",
     "delay_line_theta",
     "noise_covariance",
@@ -37,8 +38,10 @@ __all__ = [
 ]
 
 
-class SeriesDivergenceError(RuntimeError):
-    """The covariance series was still growing at the term cap."""
+# The covariance series is summed until its running term falls below
+# SERIES_TOL (never before k = n), for at most TERMS_PER_UNIT * n terms.
+SERIES_TOL = 1e-12
+TERMS_PER_UNIT = 10
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class FmcConfig:
     beta: float = 0.0
     eps: float = 1.0
     k_max: int = 0          # 0 means "until negligible", capped at 10n
-    series_tol: float = 1e-12
 
     def __post_init__(self):
         if self.n < 2:
@@ -89,69 +91,61 @@ def delay_line_theta(n, alpha):
     return theta
 
 
-def _power_blocks(theta, tol, k_cap, n_floor):
+def _power_blocks(theta):
     """Powers Theta^0 .. Theta^K, stopping once the running term
-    Theta^k (Theta^k)^T is below ``tol`` in Frobenius norm (never before
-    k = n: non-normal transients can grow before they decay)."""
+    Theta^k (Theta^k)^T is below SERIES_TOL in Frobenius norm (never before
+    k = n: non-normal transients can grow before they decay).
+
+    Raises :class:`DivergenceError` if the term cap is reached while terms
+    are still growing.
+    """
     n = theta.shape[0]
+    cap = TERMS_PER_UNIT * n
     blocks = [np.eye(n)]
     m = np.eye(n)
     prev = np.inf
     growing = False
-    for k in range(1, k_cap + 1):
+    for k in range(1, cap + 1):
         m = theta @ m
         blocks.append(m.copy())
         term = float(np.linalg.norm(m)) ** 2
-        if k >= n_floor and term < tol:
-            return blocks, False
+        if k >= n and term < SERIES_TOL:
+            return blocks
         growing = term > prev
         prev = term
-    return blocks, growing
+    if growing:
+        raise DivergenceError(
+            f"covariance series still growing after {cap} terms")
+    return blocks
 
 
-def noise_covariance(theta, eps=1.0, tol=1e-12, k_cap=None):
-    """C = eps * sum_k Theta^k (Theta^k)^T as an explicit matrix.
-
-    Raises :class:`SeriesDivergenceError` if the term cap is reached while
-    terms are still growing.
-    """
+def noise_covariance(theta, eps=1.0):
+    """C = eps * sum_k Theta^k (Theta^k)^T as an explicit matrix."""
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
-    k_cap = k_cap if k_cap is not None else 10 * n
-    blocks, growing = _power_blocks(theta, tol, k_cap, n)
-    if growing:
-        raise SeriesDivergenceError(
-            f"covariance series still growing after {k_cap} terms"
-        )
     c = np.zeros((n, n))
-    for m in blocks:
+    for m in _power_blocks(theta):
         c += m @ m.T
     return eps * c
 
 
-def _covariance_factor(theta, eps, tol, k_cap):
+def _covariance_factor(theta):
     """Upper-triangular R with C = eps * R^T R, built by QR of the stacked
     powers so small eigendirections of C survive in floating point."""
-    n = theta.shape[0]
-    blocks, growing = _power_blocks(theta, tol, k_cap, n)
-    if growing:
-        raise SeriesDivergenceError(
-            f"covariance series still growing after {k_cap} terms"
-        )
+    blocks = _power_blocks(theta)
     stacked = np.vstack([m.T for m in blocks])
     r = np.linalg.qr(stacked, mode="r")
     return r, len(blocks) - 1
 
 
-def fmc_from_theta(theta, eps=1.0, k_max=0, series_tol=1e-12, k_cap=None):
+def fmc_from_theta(theta, eps=1.0, k_max=0):
     """Fisher memory curve for an explicit matrix.  ``k_max = 0`` sums
     until J(k) is negligible (past k = n), capped at 10n terms."""
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
-    k_cap = k_cap if k_cap is not None else 10 * n
-    r, terms = _covariance_factor(theta, eps, series_tol, k_cap)
+    r, terms = _covariance_factor(theta)
 
-    limit = k_max if k_max else k_cap
+    limit = k_max if k_max else TERMS_PER_UNIT * n
     v = np.zeros(n)
     v[0] = 1.0
     curve = []
@@ -168,13 +162,7 @@ def fmc_from_theta(theta, eps=1.0, k_max=0, series_tol=1e-12, k_cap=None):
 def fisher_memory_curve(cfg):
     """Fisher memory curve of the (d, alpha, beta) family."""
     theta = build_theta_family(cfg)
-    return fmc_from_theta(
-        theta,
-        eps=cfg.eps,
-        k_max=cfg.k_max,
-        series_tol=cfg.series_tol,
-        k_cap=10 * cfg.n,
-    )
+    return fmc_from_theta(theta, eps=cfg.eps, k_max=cfg.k_max)
 
 
 def delay_line_fmc_closed_form(alpha, k):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import rnn as rnn_mod
-from .schur import GammaMode, regularizer_loss_and_grads
+from .schur import DivergenceError, regularizer_loss_and_grads
 
 __all__ = [
     "TrainConfig",
@@ -41,15 +41,6 @@ LOG_COLUMNS = [
 ]
 
 
-class DivergenceError(RuntimeError):
-    """Raised when the hidden state or the training loss stops being
-    finite.  ``records`` holds the log records written before it."""
-
-    def __init__(self, message, records=()):
-        super().__init__(message)
-        self.records = list(records)
-
-
 @dataclass
 class TrainConfig:
     lr: float = 5e-4
@@ -62,7 +53,6 @@ class TrainConfig:
     batch_size: int = 10
     max_updates: int = 1000
     log_every: int = 10
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.lr <= 0 or self.lr_orth <= 0:
@@ -71,15 +61,10 @@ class TrainConfig:
             raise ValueError("rms_alpha must be in (0, 1)")
         if self.delta < 0 or self.t_decay < 0:
             raise ValueError("regularizer weights must be >= 0")
-
-    def mode(self):
-        if self.gamma_mode == "free":
-            return GammaMode.free()
-        if self.gamma_mode == "regularized":
-            return GammaMode.regularized(self.delta)
-        if self.gamma_mode == "clamped":
-            return GammaMode.clamped(self.gamma_clamp)
-        raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
+        if self.gamma_mode not in ("free", "regularized", "clamped"):
+            raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
+        if self.gamma_mode == "clamped" and self.gamma_clamp <= 0:
+            raise ValueError("gamma_clamp must be > 0")
 
 
 class RmsState(dict):
@@ -139,11 +124,15 @@ def train_loop(model, stream, config, on_record=None):
     The stream may set ``carry_hidden = True`` to have each window start
     from the previous window's final hidden state (no gradient flows across
     the boundary).  Raises :class:`DivergenceError`, naming the update, on
-    a non-finite hidden state or loss.
+    a gamma that is not > 0 or a non-finite hidden state or loss.
+
+    Clamped gamma is set once here and never stepped; the gamma pull of the
+    regularizer applies in regularized mode only.
     """
-    mode = config.mode()
-    if model.cell_kind == "schur" and mode.kind == "clamped":
-        model.schur.gamma[:] = mode.value
+    clamped = config.gamma_mode == "clamped"
+    delta = config.delta if config.gamma_mode == "regularized" else 0.0
+    if model.cell_kind == "schur" and clamped:
+        model.schur.gamma[:] = config.gamma_clamp
 
     rms = RmsState()
     records = []
@@ -160,7 +149,7 @@ def train_loop(model, stream, config, on_record=None):
             fwd = rnn_mod.forward(model, batch)
         except FloatingPointError as exc:
             raise DivergenceError(f"{exc} at update {update}", records) from exc
-        grads = rnn_mod.bptt(model, batch, fwd=fwd, gamma_mode=mode)
+        grads = rnn_mod.bptt(model, batch, fwd=fwd)
         last_hidden = fwd.final_hidden
 
         task_loss = fwd.loss
@@ -173,18 +162,19 @@ def train_loop(model, stream, config, on_record=None):
         if model.cell_kind == "schur":
             p = model.schur
             reg_loss, g_gamma_reg, g_t_reg = regularizer_loss_and_grads(
-                p, mode, config.t_decay
+                p, delta, config.t_decay
             )
             sg = grads.schur
             sg.t_lower = sg.t_lower + g_t_reg
-            if mode.kind != "clamped":
+            if not clamped:
                 sg.gamma = sg.gamma + g_gamma_reg
                 table.append((p, "gamma", sg.gamma))
+                grad_list.append(sg.gamma)
             table += [(p, "theta", sg.theta), (p, "t_lower", sg.t_lower)]
-            grad_list += [sg.gamma, sg.theta, sg.t_lower, sg.b_skew]
+            grad_list += [sg.theta, sg.t_lower, sg.b_skew]
             p.b_skew, rms["b_skew"] = stiefel_step(
                 p.b_skew, sg.b_skew, rms.get_for("b_skew", p.b_skew.shape),
-                config.lr_orth, config.rms_alpha, config.eps)
+                config.lr_orth, config.rms_alpha)
         else:
             table.append((model, "v_dense", grads.v))
             grad_list.append(grads.v)
@@ -193,7 +183,7 @@ def train_loop(model, stream, config, on_record=None):
             cur = getattr(owner, name)
             new, rms[name] = rmsprop_step(
                 cur, grad, rms.get_for(name, cur.shape),
-                config.lr, config.rms_alpha, config.eps)
+                config.lr, config.rms_alpha)
             setattr(owner, name, new)
 
         total = task_loss + reg_loss

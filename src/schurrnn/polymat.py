@@ -10,7 +10,6 @@ __all__ = [
     "poly_add",
     "poly_mul",
     "poly_degree",
-    "poly_eval",
     "PolyMat",
 ]
 
@@ -49,13 +48,6 @@ def poly_mul(a, b):
 def poly_degree(a):
     """Degree of the polynomial; -1 for the zero polynomial."""
     return len(a) - 1
-
-
-def poly_eval(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 class PolyMat:

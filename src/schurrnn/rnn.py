@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import schur as schur_mod
-from .schur import SchurParamGrads, SchurParams
+from .schur import DivergenceError, SchurParamGrads, SchurParams
 
 __all__ = [
     "RnnModel",
@@ -190,11 +190,9 @@ def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0,
     )
 
 
-def _resolve_v(model, v=None):
+def _resolve_v(model):
     """(V, schur cache) for this step.  For the Schur cell V is assembled
     once per optimizer step and reused by forward and backward."""
-    if v is not None:
-        return v, None
     if model.cell_kind == "vanilla":
         return model.v_dense, None
     return schur_mod.assemble_v(model.schur)
@@ -212,10 +210,11 @@ def _time_major_rows(a):
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
-def forward(model, batch, v=None):
+def forward(model, batch):
     """Forward pass: hidden trace, logits, and mean cross entropy (nats)
-    over the scored steps."""
-    vv, cache = _resolve_v(model, v)
+    over the scored steps.  Raises :class:`DivergenceError` on a gamma that
+    is not > 0 or a non-finite hidden state."""
+    vv, cache = _resolve_v(model)
     b, t_len, _ = batch.inputs.shape
     n = model.n
 
@@ -225,7 +224,7 @@ def forward(model, batch, v=None):
 
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
-        raise FloatingPointError(f"non-finite hidden state at step {bad}")
+        raise DivergenceError(f"non-finite hidden state at step {bad}")
 
     logits = (h[1:].reshape(-1, n) @ model.w_out.T + model.b_out).reshape(
         t_len, b, -1).transpose(1, 0, 2)
@@ -252,7 +251,7 @@ def forward(model, batch, v=None):
     )
 
 
-def bptt(model, batch, fwd=None, gamma_mode=None, return_hnorms=False):
+def bptt(model, batch, fwd=None, return_hnorms=False):
     """Exact reverse-mode gradients for all model parameters.
 
     For the Schur cell the gradient on V is mapped back through the
@@ -286,9 +285,7 @@ def bptt(model, batch, fwd=None, gamma_mode=None, return_hnorms=False):
 
     schur_grads = None
     if model.cell_kind == "schur":
-        schur_grads = schur_mod.backward_v(
-            model.schur, dv, fwd.schur_cache, gamma_mode=gamma_mode
-        )
+        schur_grads = schur_mod.backward_v(model.schur, dv, fwd.schur_cache)
     grads = ModelGrads(
         u_in=du_in,
         b_hidden=dbias,

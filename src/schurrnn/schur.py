@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GammaMode",
+    "DivergenceError",
     "SchurParams",
     "SchurParamGrads",
-    "rotation_block",
     "assemble_theta",
     "assemble_v",
     "backward_v",
@@ -28,39 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaMode:
-    """How the rotation moduli gamma are treated during training.
+class DivergenceError(FloatingPointError):
+    """A numerical failure: a rotation modulus gamma that is not > 0, a
+    non-finite hidden state or loss, or a covariance series still growing
+    at its term cap.  ``records`` holds the training log records written
+    before it."""
 
-    kind is one of "free", "regularized", "clamped".  ``delta`` is the L2
-    penalty weight in regularized mode; ``value`` is the fixed modulus in
-    clamped mode (clamping zeroes the gamma gradient rather than
-    reprojecting).
-    """
-
-    kind: str = "regularized"
-    delta: float = 0.0
-    value: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("free", "regularized", "clamped"):
-            raise ValueError(f"unknown gamma mode {self.kind!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.kind == "clamped" and self.value <= 0:
-            raise ValueError("clamped value must be > 0")
-
-    @classmethod
-    def free(cls):
-        return cls("free")
-
-    @classmethod
-    def regularized(cls, delta):
-        return cls("regularized", delta=float(delta))
-
-    @classmethod
-    def clamped(cls, value):
-        return cls("clamped", value=float(value))
+    def __init__(self, message, records=()):
+        super().__init__(message)
+        self.records = list(records)
 
 
 def t_lower_mask(n):
@@ -111,15 +86,6 @@ class SchurParams:
         if np.any(self.gamma <= 0.0):
             raise ValueError("gamma entries must be > 0")
 
-    def copy(self):
-        return SchurParams(
-            self.n,
-            self.b_skew.copy(),
-            self.gamma.copy(),
-            self.theta.copy(),
-            self.t_lower.copy(),
-        )
-
 
 @dataclass
 class SchurParamGrads:
@@ -129,22 +95,23 @@ class SchurParamGrads:
     t_lower: np.ndarray
 
 
-def rotation_block(gamma, theta):
-    """2x2 scaled rotation with eigenvalues gamma * e^{+-i theta}."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    c, s = np.cos(theta), np.sin(theta)
-    return gamma * np.array([[c, -s], [s, c]])
-
-
 def assemble_theta(p):
-    """Block-diagonal rotations plus the strictly-lower feed-forward part."""
-    n = p.n
+    """Block-diagonal rotations gamma_i [[c, -s], [s, c]], whose eigenvalues
+    are gamma_i e^{+-i theta_i}, plus the strictly-lower feed-forward part.
+
+    Raises :class:`DivergenceError` unless every gamma is > 0 (NaN included).
+    """
+    if not np.all(p.gamma > 0.0):
+        raise DivergenceError(
+            f"gamma must be > 0, got min {np.min(p.gamma):.6g}")
     theta = p.t_lower.copy()
-    for i in range(n // 2):
-        theta[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation_block(
-            p.gamma[i], p.theta[i]
-        )
+    even = np.arange(0, p.n, 2)
+    gc = p.gamma * np.cos(p.theta)
+    gs = p.gamma * np.sin(p.theta)
+    theta[even, even] = gc
+    theta[even, even + 1] = -gs
+    theta[even + 1, even] = gs
+    theta[even + 1, even + 1] = gc
     return theta
 
 
@@ -162,7 +129,7 @@ def assemble_v(p):
     return v, (big_p, theta, u, omega)
 
 
-def backward_v(p, grad_v, cache, gamma_mode=None):
+def backward_v(p, grad_v, cache):
     """Map a loss gradient on V back to gradients on the Schur parameters.
 
     ``cache`` is the (P, Theta, U, omega) tuple returned by
@@ -187,8 +154,6 @@ def backward_v(p, grad_v, cache, gamma_mode=None):
     c, s = np.cos(p.theta), np.sin(p.theta)
     d_gamma = c * (g00 + g11) + s * (g10 - g01)
     d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
-    if gamma_mode is not None and gamma_mode.kind == "clamped":
-        d_gamma[:] = 0.0
 
     # dL/dP, then pull back through the exponential map.  The adjoint of the
     # Frechet derivative of exp at B = U diag(i omega) U^H is
@@ -210,17 +175,17 @@ def backward_v(p, grad_v, cache, gamma_mode=None):
     )
 
 
-def regularizer_loss_and_grads(p, mode, t_decay):
-    """L2 pull of gamma toward 1 (regularized mode only) plus L2 decay on
-    the strictly-lower part.  Returns (loss, gamma_grad, t_lower_grad)."""
-    if t_decay < 0:
-        raise ValueError("t_decay must be >= 0")
+def regularizer_loss_and_grads(p, delta, t_decay):
+    """L2 pull of gamma toward 1 with weight ``delta`` plus L2 decay on the
+    strictly-lower part.  Returns (loss, gamma_grad, t_lower_grad)."""
+    if delta < 0 or t_decay < 0:
+        raise ValueError("regularizer weights must be >= 0")
     loss = 0.0
     gamma_grad = np.zeros_like(p.gamma)
-    if mode.kind == "regularized" and mode.delta > 0:
+    if delta > 0:
         resid = 1.0 - p.gamma
-        loss += mode.delta * float(np.sum(resid**2))
-        gamma_grad = -2.0 * mode.delta * resid
+        loss += delta * float(np.sum(resid**2))
+        gamma_grad = -2.0 * delta * resid
     t_grad = np.zeros_like(p.t_lower)
     if t_decay > 0:
         loss += t_decay * float(np.sum(p.t_lower**2))

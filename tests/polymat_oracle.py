@@ -1,13 +1,20 @@
 """Float and repeated-product references for exact polynomial matrices.
 
 Test-only helpers: the library never needs the t-th power of a PolyMat by
-plain repeated multiplication, nor a float evaluation of one, but the tests
-use both as oracles for ``schurrnn.polymat`` and ``schurrnn.propcheck``.
+plain repeated multiplication, nor an evaluation of a polynomial or of a
+PolyMat, but the tests use them as oracles for ``schurrnn.polymat`` and
+``schurrnn.propcheck``.
 """
 
 import numpy as np
 
-from schurrnn.polymat import poly_eval
+
+def poly_eval(a, x):
+    """Horner evaluation; exact for int and Fraction arguments."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def polymat_power(a, t):

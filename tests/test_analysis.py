@@ -6,7 +6,6 @@ import pytest
 
 from schurrnn.analysis import (
     connectivity_report,
-    run_comparison,
     write_profile_csv,
     write_report_json,
 )
@@ -65,22 +64,6 @@ def test_histograms_count_parameters():
     rep = connectivity_report(p)
     assert rep.theta_histogram.sum() == 8
     assert rep.gamma_histogram.sum() == 8
-
-
-def test_run_comparison_zero_and_regimes():
-    a = connectivity_report(init_params(8, rng_seed=5))
-    diff = run_comparison(a, a)
-    assert diff["delta_mean_gamma"] == 0.0
-    assert diff["delta_t_frobenius"] == 0.0
-    assert diff["regime_a"] == "normal"
-
-    b = connectivity_report(params_with_delay_line(8, weight=1.5, seed=5))
-    diff = run_comparison(a, b)
-    assert diff["regime_b"] == "non-normal"
-    assert diff["delta_t_frobenius"] > 0.0
-
-    with pytest.raises(ValueError):
-        run_comparison(a, connectivity_report(init_params(6, rng_seed=0)))
 
 
 def test_regime_boundary_closed_at_low_threshold():

@@ -116,6 +116,24 @@ def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+def test_train_nonpositive_gamma_exit_2_keeps_log(tmp_path, capsys):
+    # free gamma with a large learning rate drives some gamma <= 0
+    path = train_config(tmp_path, train={
+        "max_updates": 15, "log_every": 1, "batch_size": 4,
+        "gamma_mode": "free", "lr": 0.5})
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: gamma must be > 0")
+    assert "Traceback" not in err
+    k = int(err.rsplit("at update ", 1)[1])
+    assert 1 < k <= 15
+    rows = list(csv.reader((out / "train_log.csv").open()))
+    assert [r[0] for r in rows] == ["update"] + [str(u) for u in range(1, k)]
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_bad_task_kind_exit_1(tmp_path):
     path = write_json(tmp_path / "bad.json", {
         "task": {"kind": "sudoku"}, "model": {"n": 8}})

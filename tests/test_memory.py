@@ -4,7 +4,6 @@ import pytest
 import jtot_oracle
 from schurrnn.memory import (
     FmcConfig,
-    SeriesDivergenceError,
     build_theta_family,
     delay_line_fmc_closed_form,
     delay_line_theta,
@@ -15,6 +14,7 @@ from schurrnn.memory import (
     prop1_bound_check,
     transient_ensemble,
 )
+from schurrnn.schur import DivergenceError
 
 
 def fmc_oracle(theta, eps=1.0, k_max=None):
@@ -67,7 +67,7 @@ def test_noise_covariance_hand_sums():
 
 
 def test_noise_covariance_divergence():
-    with pytest.raises(SeriesDivergenceError):
+    with pytest.raises(DivergenceError, match="still growing after 30 terms"):
         noise_covariance(np.eye(3) * 1.01)
 
 

@@ -55,8 +55,9 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(rms_alpha=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(gamma_mode="nope").mode()
-    assert TrainConfig(gamma_mode="clamped", gamma_clamp=0.9).mode().value == 0.9
+        TrainConfig(gamma_mode="nope")
+    with pytest.raises(ValueError):
+        TrainConfig(gamma_mode="clamped", gamma_clamp=0.0)
 
 
 def test_train_loop_smoke_and_loss_decrease():

@@ -9,12 +9,11 @@ from schurrnn.polymat import (
     PolyMat,
     poly_add,
     poly_degree,
-    poly_eval,
     poly_mul,
     poly_trim,
 )
 
-from polymat_oracle import eval_float, polymat_power
+from polymat_oracle import eval_float, poly_eval, polymat_power
 
 
 def test_poly_basics():

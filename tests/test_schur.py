@@ -8,7 +8,7 @@ from scipy.linalg import expm, expm_frechet
 
 import schurrnn
 from schurrnn.schur import (
-    GammaMode,
+    DivergenceError,
     SchurParams,
     assemble_theta,
     assemble_v,
@@ -16,7 +16,6 @@ from schurrnn.schur import (
     init_params,
     load_checkpoint,
     regularizer_loss_and_grads,
-    rotation_block,
     save_checkpoint,
     t_lower_mask,
 )
@@ -49,22 +48,12 @@ def test_param_validation():
     with pytest.raises(ValueError):
         init_params(5)  # odd size
     p = init_params(4)
-    bad = p.copy()
-    bad.b_skew = bad.b_skew.copy()
+    bad_b = p.b_skew.copy()
+    bad_b[0, 1] = 5.0
     with pytest.raises(ValueError):
-        bad.b_skew[0, 1] = 5.0
-        SchurParams(4, bad.b_skew, bad.gamma, bad.theta, bad.t_lower)
+        SchurParams(4, bad_b, p.gamma, p.theta, p.t_lower)
     with pytest.raises(ValueError):
         SchurParams(4, p.b_skew, -np.ones(2), p.theta, p.t_lower)
-
-
-def test_rotation_block_spectrum():
-    r = rotation_block(0.9, 0.7)
-    w = np.sort_complex(np.linalg.eigvals(r))
-    expected = np.sort_complex(
-        0.9 * np.array([np.exp(1j * 0.7), np.exp(-1j * 0.7)])
-    )
-    assert np.allclose(w, expected, atol=1e-14)
 
 
 def test_assemble_v_structure():
@@ -76,7 +65,16 @@ def test_assemble_v_structure():
     assert np.allclose(np.triu(theta, 2), 0.0)
     for i in range(4):
         blk = theta[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        assert np.allclose(blk, rotation_block(p.gamma[i], p.theta[i]))
+        c, s = np.cos(p.theta[i]), np.sin(p.theta[i])
+        assert np.allclose(blk, p.gamma[i] * np.array([[c, -s], [s, c]]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+def test_assemble_theta_rejects_nonpositive_gamma(bad):
+    p = random_params(8, seed=0)
+    p.gamma[2] = bad
+    with pytest.raises(DivergenceError, match="gamma must be > 0"):
+        assemble_theta(p)
 
 
 def test_spectrum_independent_of_t_and_p():
@@ -157,14 +155,6 @@ def test_backward_v_block_grads_match_per_block_loop():
         assert abs(grads.theta[i] - d_theta) <= 1e-13 * max(1.0, abs(d_theta))
 
 
-def test_backward_v_clamped_zeroes_gamma():
-    p = random_params(6, seed=4)
-    v, cache = assemble_v(p)
-    g = backward_v(p, np.ones((6, 6)), cache,
-                   gamma_mode=GammaMode.clamped(1.0))
-    assert np.all(g.gamma == 0.0)
-
-
 def _oracle_generator(n, case):
     if case == "zero":
         return np.zeros((n, n))
@@ -213,14 +203,13 @@ def test_regularizer_values_and_grads():
     p = init_params(4)
     p.gamma = np.array([0.8, 1.1])
     p.t_lower = np.where(t_lower_mask(4), 0.5, 0.0)
-    mode = GammaMode.regularized(0.1)
-    loss, g_gamma, g_t = regularizer_loss_and_grads(p, mode, t_decay=0.01)
+    loss, g_gamma, g_t = regularizer_loss_and_grads(p, 0.1, t_decay=0.01)
     expected = 0.1 * (0.2**2 + 0.1**2) + 0.01 * float(np.sum(p.t_lower**2))
     assert abs(loss - expected) < 1e-14
     assert np.allclose(g_gamma, [-2 * 0.1 * 0.2, 2 * 0.1 * 0.1])
     assert np.allclose(g_t, 2 * 0.01 * p.t_lower)
-    # free mode: no gamma pull
-    loss_f, g_gamma_f, _ = regularizer_loss_and_grads(p, GammaMode.free(), 0.0)
+    # delta = 0 (free and clamped modes): no gamma pull
+    loss_f, g_gamma_f, _ = regularizer_loss_and_grads(p, 0.0, 0.0)
     assert loss_f == 0.0 and np.all(g_gamma_f == 0.0)
 
 
