@@ -9,10 +9,12 @@ steps earlier under i.i.d. Gaussian noise of variance eps:
     J(k) = u^T (Theta^k)^T C^{-1} Theta^k u,
     C    = eps * sum_k Theta^k (Theta^k)^T,   u = e_1.
 
-C is never inverted explicitly: its triangular factor is obtained from a QR
-factorization of the stacked powers, which keeps the solves usable even
-when C itself is catastrophically ill-conditioned (condition numbers reach
-1e23 for d = 0.2 with super-unit sub-diagonals).
+C is never formed or inverted explicitly.  Its triangular factor comes
+from the square-root form of Smith's doubling for the Stein equation
+C = Theta C Theta^T + eps I (Smith 1968; Hammarling 1982): one 2n x n QR
+per doubling of the number of summed terms.  Working with the factor keeps
+the solves usable even when C itself is catastrophically ill-conditioned
+(condition numbers reach 1e23 for d = 0.2 with super-unit sub-diagonals).
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ __all__ = [
     "FmcResult",
     "build_theta_family",
     "delay_line_theta",
-    "noise_covariance",
     "fisher_memory_curve",
     "fmc_from_theta",
     "delay_line_fmc_closed_form",
@@ -38,8 +39,10 @@ __all__ = [
 ]
 
 
-# The covariance series is summed until its running term falls below
-# SERIES_TOL (never before k = n), for at most TERMS_PER_UNIT * n terms.
+# The covariance series is doubled until its tail term falls below
+# SERIES_TOL (never before k = n); a tail still growing past
+# TERMS_PER_UNIT * n terms is a divergence.  The memory curve stops at the
+# same multiple of n unless k_max says otherwise.
 SERIES_TOL = 1e-12
 TERMS_PER_UNIT = 10
 
@@ -66,7 +69,7 @@ class FmcConfig:
 class FmcResult:
     j_curve: np.ndarray
     j_tot: float
-    truncation_terms: int
+    truncation_terms: int   # terms K of the covariance sum, a power of two
 
 
 def build_theta_family(cfg):
@@ -91,51 +94,38 @@ def delay_line_theta(n, alpha):
     return theta
 
 
-def _power_blocks(theta):
-    """Powers Theta^0 .. Theta^K, stopping once the running term
-    Theta^k (Theta^k)^T is below SERIES_TOL in Frobenius norm (never before
-    k = n: non-normal transients can grow before they decay).
+def _covariance_factor(theta):
+    """Upper-triangular R with sum_{k<K} Theta^k (Theta^k)^T = R^T R, and
+    the number of terms K, by square-root doubling.
 
-    Raises :class:`DivergenceError` if the term cap is reached while terms
-    are still growing.
+    With S_K the stack of (Theta^k)^T for k < K and A = (Theta^T)^K,
+    S_2K = [S_K; S_K A], so if S_K = Q R then S_2K = diag(Q, Q) [R; R A]
+    and the factor of the doubled sum is the R factor of the 2n x n stack
+    [R; R A].  Doubling stops once K >= n (non-normal transients can grow
+    before they decay) and the tail term ||A||_F^2 is below SERIES_TOL.
+
+    Raises :class:`DivergenceError` if the tail is still growing when K
+    passes TERMS_PER_UNIT * n, or overflows.
     """
     n = theta.shape[0]
     cap = TERMS_PER_UNIT * n
-    blocks = [np.eye(n)]
-    m = np.eye(n)
+    r = np.eye(n)
+    a = theta.T
+    terms = 1
     prev = np.inf
-    growing = False
-    for k in range(1, cap + 1):
-        m = theta @ m
-        blocks.append(m.copy())
-        term = float(np.linalg.norm(m)) ** 2
-        if k >= n and term < SERIES_TOL:
-            return blocks
-        growing = term > prev
-        prev = term
-    if growing:
-        raise DivergenceError(
-            f"covariance series still growing after {cap} terms")
-    return blocks
-
-
-def noise_covariance(theta, eps=1.0):
-    """C = eps * sum_k Theta^k (Theta^k)^T as an explicit matrix."""
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.shape[0]
-    c = np.zeros((n, n))
-    for m in _power_blocks(theta):
-        c += m @ m.T
-    return eps * c
-
-
-def _covariance_factor(theta):
-    """Upper-triangular R with C = eps * R^T R, built by QR of the stacked
-    powers so small eigendirections of C survive in floating point."""
-    blocks = _power_blocks(theta)
-    stacked = np.vstack([m.T for m in blocks])
-    r = np.linalg.qr(stacked, mode="r")
-    return r, len(blocks) - 1
+    while True:
+        r = np.linalg.qr(np.vstack([r, r @ a]), mode="r")
+        a = a @ a
+        terms *= 2
+        tail = float(np.linalg.norm(a)) ** 2
+        if terms >= n and tail < SERIES_TOL:
+            return r, terms
+        if not np.isfinite(tail) or (terms > cap and tail > prev):
+            raise DivergenceError(
+                f"covariance series still growing after {terms} terms")
+        if terms > cap:
+            return r, terms
+        prev = tail
 
 
 def fmc_from_theta(theta, eps=1.0, k_max=0):
@@ -146,16 +136,25 @@ def fmc_from_theta(theta, eps=1.0, k_max=0):
     r, terms = _covariance_factor(theta)
 
     limit = k_max if k_max else TERMS_PER_UNIT * n
+    cutoff = 1e-14
+    # Columns Theta^k e_1.  C >= eps * I bounds J(k) by |Theta^k e_1|^2 / eps,
+    # so with k_max = 0 the first k >= n whose column is below half the
+    # cut-off has J(k) below it too, and no later column is needed.
     v = np.zeros(n)
     v[0] = 1.0
-    curve = []
+    cols = []
     for k in range(limit + 1):
-        y = np.linalg.solve(r.T, v)
-        curve.append(float(y @ y) / eps)
-        if k_max == 0 and k >= n and curve[-1] < 1e-14:
+        cols.append(v)
+        if k_max == 0 and k >= n and v @ v < 0.5 * cutoff * eps:
             break
         v = theta @ v
-    curve = np.array(curve)
+    y = np.linalg.solve(r.T, np.array(cols).T)
+    curve = np.einsum("ij,ij->j", y, y) / eps
+    if k_max == 0:
+        # stop at the first k >= n with J(k) below the cut-off
+        small = np.flatnonzero(curve[n:] < cutoff)
+        if small.size:
+            curve = curve[: n + small[0] + 1]
     return FmcResult(j_curve=curve, j_tot=float(curve.sum()), truncation_terms=terms)
 
 

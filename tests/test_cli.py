@@ -152,6 +152,19 @@ def test_fmc_bundled_sweep(tmp_path):
         ["fmc_summary.csv"] + [f"fmc_{i:02d}.csv" for i in range(12)])
 
 
+def test_fmc_diverged_row_exit_2_keeps_good_rows(tmp_path):
+    path = write_json(tmp_path / "sweep.json", {"sweep": [
+        {"n": 4, "alpha": 1.0},
+        {"n": 2, "d": 0.99, "alpha": 1e6},
+    ]})
+    out = tmp_path / "out"
+    assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 2
+    rows = list(csv.reader((out / "fmc_summary.csv").open()))
+    assert [r[6] for r in rows[1:]] == ["ok", "diverged"]
+    assert rows[2][5] == ""
+    assert sorted(os.listdir(out)) == ["fmc_00.csv", "fmc_summary.csv"]
+
+
 def test_fmc_empty_sweep(tmp_path):
     path = write_json(tmp_path / "empty.json", {"sweep": []})
     out = tmp_path / "out"

@@ -3,6 +3,8 @@ import pytest
 
 import jtot_oracle
 from schurrnn.memory import (
+    SERIES_TOL,
+    TERMS_PER_UNIT,
     FmcConfig,
     build_theta_family,
     delay_line_fmc_closed_form,
@@ -10,11 +12,34 @@ from schurrnn.memory import (
     fisher_memory_curve,
     fmc_from_theta,
     gram_schmidt_triangular,
-    noise_covariance,
     prop1_bound_check,
     transient_ensemble,
 )
 from schurrnn.schur import DivergenceError
+
+
+def noise_covariance(theta, eps=1.0):
+    """C = eps * sum_k Theta^k (Theta^k)^T as an explicit matrix, summed one
+    power at a time until the term is below SERIES_TOL (never before
+    k = n), for at most TERMS_PER_UNIT * n terms."""
+    theta = np.asarray(theta, dtype=np.float64)
+    n = theta.shape[0]
+    cap = TERMS_PER_UNIT * n
+    c = np.eye(n)
+    m = np.eye(n)
+    prev = np.inf
+    for k in range(1, cap + 1):
+        m = theta @ m
+        c += m @ m.T
+        term = float(np.linalg.norm(m)) ** 2
+        if k >= n and term < SERIES_TOL:
+            return eps * c
+        growing = term > prev
+        prev = term
+    if growing:
+        raise DivergenceError(
+            f"covariance series still growing after {cap} terms")
+    return eps * c
 
 
 def fmc_oracle(theta, eps=1.0, k_max=None):
@@ -71,6 +96,10 @@ def test_noise_covariance_divergence():
         noise_covariance(np.eye(3) * 1.01)
 
 
+def is_power_of_two_at_least(k, n):
+    return k >= n and k & (k - 1) == 0
+
+
 def test_fmc_matches_dense_oracle():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -79,6 +108,42 @@ def test_fmc_matches_dense_oracle():
         res = fmc_from_theta(th, k_max=n - 1)
         oracle = fmc_oracle(th, k_max=n - 1)
         assert np.allclose(res.j_curve, oracle, rtol=1e-8)
+        assert is_power_of_two_at_least(res.truncation_terms, n)
+        # a varied diagonal inside the unit disc: Theta is no longer
+        # nilpotent, so the factor needs several doublings past K = n
+        th[np.diag_indices(n)] = rng.uniform(-0.6, 0.6, size=n)
+        res = fmc_from_theta(th)
+        oracle = fmc_oracle(th, k_max=300)
+        assert np.allclose(res.j_curve, oracle[: len(res.j_curve)], rtol=1e-8)
+        assert res.j_tot == pytest.approx(oracle.sum(), rel=1e-8)
+        assert is_power_of_two_at_least(res.truncation_terms, n)
+        # the curve ends at the first k >= n with J(k) < 1e-14
+        assert res.j_curve[-1] < 1e-14
+        assert np.all(res.j_curve[n:-1] >= 1e-14)
+
+
+def test_table_curve_lengths_and_terms():
+    # Curve lengths of the 12-row total-memory table, as the per-lag
+    # evaluation of J(k) gives them: n + 1 on the nilpotent d = 0 rows.
+    lengths = {0.0: [101] * 6, 0.2: [172, 173, 175, 171, 173, 175]}
+    for d, expected in lengths.items():
+        got, terms = [], set()
+        for b in (0.0, 0.005):
+            for a in (0.95, 1.0, 1.05):
+                cfg = FmcConfig(n=100, d=d, alpha=a, beta=b)
+                res = fisher_memory_curve(cfg)
+                got.append(len(res.j_curve))
+                terms.add(res.truncation_terms)
+        assert got == expected
+        assert terms == {128 if d == 0.0 else 256}
+
+
+def test_fmc_divergence():
+    with pytest.raises(DivergenceError, match="still growing"):
+        fmc_from_theta(np.eye(3) * 1.01)
+    # powers that overflow before the term cap
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        fmc_from_theta(np.eye(3) * 1e10)
 
 
 def test_jtot_oracle_matches_delay_line_closed_form():
