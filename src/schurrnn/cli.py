@@ -4,8 +4,8 @@ Subcommands: train, fmc, transients, props, report.  Configs are JSON
 documents validated field-by-field (unknown keys are rejected); outputs
 are CSV curves and JSON reports meant for external plotting.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(divergence or series non-convergence).
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure (divergence or series non-convergence).
 """
 
 import argparse
@@ -27,6 +27,14 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with an ``error:`` line, like a bad config, so
+    exit 2 stays the numerical-failure code."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n{self.format_usage()}")
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -46,6 +54,14 @@ def _check_keys(doc, allowed, required, where):
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
+
+
+def _seed(doc, seed_override):
+    try:
+        return int(seed_override if seed_override is not None
+                   else doc.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed: {exc}")
 
 
 def _write_csv(path, header, rows):
@@ -93,7 +109,7 @@ def cmd_train(config_path, out_dir, seed_override):
     doc = _load_json(config_path)
     _check_keys(doc, {"task", "model", "train", "seed"}, {"task", "model"},
                 "config")
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+    seed = _seed(doc, seed_override)
 
     model_doc = doc["model"]
     _check_keys(model_doc, {"n", "cell_kind", "scheme"}, {"n"}, "model")
@@ -143,7 +159,7 @@ def cmd_train(config_path, out_dir, seed_override):
 _FMC_ROW_KEYS = {"n", "d", "alpha", "beta", "eps", "k_max"}
 
 
-def cmd_fmc(config_path, out_dir, seed_override):
+def cmd_fmc(config_path, out_dir):
     doc = _load_json(config_path)
     _check_keys(doc, {"sweep"}, {"sweep"}, "config")
     if not isinstance(doc["sweep"], list):
@@ -193,24 +209,34 @@ def cmd_transients(config_path, out_dir, seed_override):
     doc = _load_json(config_path)
     _check_keys(doc, {"configs", "n_samples", "t_max", "seed"},
                 {"configs"}, "config")
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
-    n_samples = int(doc.get("n_samples", 1000))
-    t_max = doc.get("t_max")
+    if not isinstance(doc["configs"], list):
+        raise ConfigError("configs must be a list")
+    seed = _seed(doc, seed_override)
+    try:
+        n_samples = int(doc.get("n_samples", 1000))
+        t_max = None if doc.get("t_max") is None else int(doc["t_max"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}")
 
-    os.makedirs(out_dir, exist_ok=True)
+    # Every row runs before the output directory is made, so a bad value
+    # in any row exits 1 and leaves nothing behind.
+    results = []
     for i, row in enumerate(doc["configs"]):
         _check_keys(row, {"n", "d", "alpha", "beta"}, {"n"}, f"configs[{i}]")
-        cfg = memory.FmcConfig(
-            n=int(row["n"]),
-            d=float(row.get("d", 0.0)),
-            alpha=float(row.get("alpha", 1.0)),
-            beta=float(row.get("beta", 0.0)),
-        )
-        stats = memory.transient_ensemble(
-            cfg, n_samples=n_samples,
-            t_max=int(t_max) if t_max is not None else None,
-            rng_seed=seed,
-        )
+        try:
+            cfg = memory.FmcConfig(
+                n=int(row["n"]),
+                d=float(row.get("d", 0.0)),
+                alpha=float(row.get("alpha", 1.0)),
+                beta=float(row.get("beta", 0.0)),
+            )
+            results.append(memory.transient_ensemble(
+                cfg, n_samples=n_samples, t_max=t_max, rng_seed=seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"configs[{i}]: {exc}")
+
+    os.makedirs(out_dir, exist_ok=True)
+    for i, stats in enumerate(results):
         _write_csv(
             os.path.join(out_dir, f"transients_{i:02d}.csv"),
             ["t", "unit_std_mean", "unit_std_std", "norm_mean", "norm_std"],
@@ -227,47 +253,63 @@ def cmd_transients(config_path, out_dir, seed_override):
 
 # --- props --------------------------------------------------------------------
 
-def cmd_props(config_path, out_dir, seed_override):
-    doc = _load_json(config_path)
-    _check_keys(doc, {"prop2", "prop1"}, set(), "config")
-    os.makedirs(out_dir, exist_ok=True)
-
+def _prop_reports(doc):
+    """(file name, text) of each proposition report in run order, and the
+    exit status: 2 at the first failed check, which ends the run."""
+    files = []
     for i, row in enumerate(doc.get("prop2", [{"n": 6, "t_max": 12}])):
         _check_keys(row, {"n", "t_max"}, {"n", "t_max"}, f"prop2[{i}]")
-        report = propcheck.verify_prop2(int(row["n"]), int(row["t_max"]))
-        with open(os.path.join(out_dir, f"prop2_{i:02d}.json"), "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        try:
+            report = propcheck.verify_prop2(int(row["n"]), int(row["t_max"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prop2[{i}]: {exc}")
+        files.append((f"prop2_{i:02d}.json", report.to_json() + "\n"))
         if not report.all_ok:
-            return 2
+            return files, 2
 
     for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}])):
         _check_keys(row, {"n", "alpha"}, {"n", "alpha"}, f"prop1[{i}]")
-        theta = memory.delay_line_theta(int(row["n"]), float(row["alpha"]))
         try:
+            theta = memory.delay_line_theta(int(row["n"]), float(row["alpha"]))
             rep = memory.prop1_bound_check(theta)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prop1[{i}]: {exc}")
         except AssertionError:
-            return 2
-        with open(os.path.join(out_dir, f"prop1_{i:02d}.json"), "w") as fh:
-            json.dump(
-                {
-                    "n": rep.n,
-                    "alpha": rep.alpha,
-                    "sigma_max": rep.sigma_max,
-                    "holds": rep.holds,
-                    "j_curve": rep.j_curve.tolist(),
-                    "bound": rep.bound.tolist(),
-                    "margin": rep.margin.tolist(),
-                },
-                fh, indent=2,
-            )
-            fh.write("\n")
-    return 0
+            return files, 2
+        text = json.dumps(
+            {
+                "n": rep.n,
+                "alpha": rep.alpha,
+                "sigma_max": rep.sigma_max,
+                "holds": rep.holds,
+                "j_curve": rep.j_curve.tolist(),
+                "bound": rep.bound.tolist(),
+                "margin": rep.margin.tolist(),
+            },
+            indent=2,
+        )
+        files.append((f"prop1_{i:02d}.json", text + "\n"))
+    return files, 0
+
+
+def cmd_props(config_path, out_dir):
+    doc = _load_json(config_path)
+    _check_keys(doc, {"prop2", "prop1"}, set(), "config")
+    for key in ("prop2", "prop1"):
+        if not isinstance(doc.get(key, []), list):
+            raise ConfigError(f"{key} must be a list")
+    # As in cmd_transients, a bad row exits 1 before anything is written.
+    files, status = _prop_reports(doc)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files:
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+    return status
 
 
 # --- report -------------------------------------------------------------------
 
-def cmd_report(config_path, out_dir, seed_override):
+def cmd_report(config_path, out_dir):
     try:
         params, _, _ = schur.load_checkpoint(config_path)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -291,7 +333,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurrnn",
         description="Train and analyze Schur-parametrized recurrent networks.",
     )
@@ -301,12 +343,14 @@ def main(argv=None):
         p.add_argument("--config", required=True,
                        help="JSON config (checkpoint path for `report`)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name in ("train", "transients"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
     args = parser.parse_args(argv)
+    seed = (args.seed,) if "seed" in args else ()
 
     try:
-        return _COMMANDS[args.command](args.config, args.out, args.seed)
+        return _COMMANDS[args.command](args.config, args.out, *seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -88,6 +88,8 @@ def delay_line_theta(n, alpha):
     """Feed-forward chain whose squared coupling is ``alpha`` (entries
     sqrt(alpha)), the configuration whose memory curve attains the closed
     form of :func:`delay_line_fmc_closed_form` exactly."""
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
     theta = np.zeros((n, n))
     for i in range(1, n):
         theta[i, i - 1] = np.sqrt(alpha)
@@ -234,6 +236,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if np.any(np.triu(theta) != 0.0):
         raise ValueError("theta must be strictly lower triangular")
     sub = np.diag(theta, -1)
@@ -281,6 +285,8 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if t_max is not None and t_max < 0:
+        raise ValueError("t_max must be >= 0")
     theta = build_theta_family(cfg)
     n = cfg.n
     t_max = t_max if t_max is not None else 2 * n

@@ -19,7 +19,6 @@ from .schur import DivergenceError, regularizer_loss_and_grads
 
 __all__ = [
     "TrainConfig",
-    "RmsState",
     "DivergenceError",
     "LogRecord",
     "rmsprop_step",
@@ -67,15 +66,6 @@ class TrainConfig:
             raise ValueError("gamma_clamp must be > 0")
 
 
-class RmsState(dict):
-    """Running mean of squared gradients, keyed per parameter tensor."""
-
-    def get_for(self, name, shape):
-        if name not in self:
-            self[name] = np.zeros(shape)
-        return self[name]
-
-
 def rmsprop_step(param, grad, state, lr, alpha, eps=1e-8):
     """One RMSprop update.  Returns (new_param, new_state)."""
     state = alpha * state + (1.0 - alpha) * grad * grad
@@ -110,14 +100,13 @@ class TrainResult:
     records: list
     model: object
     final_hidden: Optional[np.ndarray] = None
-    diverged_at: Optional[int] = None
 
 
 def _grad_norm(arrays):
     return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
 
 
-def train_loop(model, stream, config, on_record=None):
+def train_loop(model, stream, config):
     """Run ``config.max_updates`` optimizer steps over batches drawn from
     ``stream``.
 
@@ -134,7 +123,7 @@ def train_loop(model, stream, config, on_record=None):
     if model.cell_kind == "schur" and clamped:
         model.schur.gamma[:] = config.gamma_clamp
 
-    rms = RmsState()
+    rms = {}  # running mean of squared gradients per parameter tensor
     records = []
     carry = bool(getattr(stream, "carry_hidden", False))
     last_hidden = None
@@ -173,7 +162,7 @@ def train_loop(model, stream, config, on_record=None):
             table += [(p, "theta", sg.theta), (p, "t_lower", sg.t_lower)]
             grad_list += [sg.theta, sg.t_lower, sg.b_skew]
             p.b_skew, rms["b_skew"] = stiefel_step(
-                p.b_skew, sg.b_skew, rms.get_for("b_skew", p.b_skew.shape),
+                p.b_skew, sg.b_skew, rms.get("b_skew", 0.0),
                 config.lr_orth, config.rms_alpha)
         else:
             table.append((model, "v_dense", grads.v))
@@ -182,7 +171,7 @@ def train_loop(model, stream, config, on_record=None):
         for owner, name, grad in table:
             cur = getattr(owner, name)
             new, rms[name] = rmsprop_step(
-                cur, grad, rms.get_for(name, cur.shape),
+                cur, grad, rms.get(name, 0.0),
                 config.lr, config.rms_alpha)
             setattr(owner, name, new)
 
@@ -211,8 +200,6 @@ def train_loop(model, stream, config, on_record=None):
                 grad_norm_total=_grad_norm(grad_list),
             )
             records.append(rec)
-            if on_record is not None:
-                on_record(rec)
 
     return TrainResult(records=records, model=model, final_hidden=last_hidden)
 

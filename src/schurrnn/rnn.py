@@ -3,8 +3,8 @@ through time.
 
 Two cell kinds share the machinery: the Schur-parametrized cell (V comes
 from :func:`schurrnn.schur.assemble_v`) and an unconstrained vanilla RNN
-baseline with a dense V.  The nonlinearity is modReLU; a linear mode
-(identity activation, biases ignored) supports the theory experiments.
+baseline with a dense V.  The one nonlinearity is modReLU, which is the
+identity at zero bias, the value a fresh model starts from.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ __all__ = [
     "init_model",
     "forward",
     "bptt",
-    "gradient_norm_trace",
 ]
 
 
@@ -44,45 +43,43 @@ def modrelu(z, b):
 # (T, B, n), the hidden trace ``h`` is (T+1, B, n) with ``h[0]`` the
 # initial state.
 
-def rnn_forward(v, pre, bias, h0, linear):
-    """Run the recurrence h_t = phi(V h_{t-1} + pre_t) and return the full
-    trace (T+1, B, n)."""
+def rnn_forward(v, pre, bias, h0):
+    """Run the recurrence h_t = modrelu(V h_{t-1} + pre_t) and return the
+    full trace (T+1, B, n)."""
     t_len, batch, n = pre.shape
     h = np.empty((t_len + 1, batch, n))
     h[0] = h0
     vt = v.T
     for t in range(1, t_len + 1):
         z = h[t - 1] @ vt + pre[t - 1]
-        h[t] = z if linear else modrelu(z, bias)
+        h[t] = modrelu(z, bias)
     return h
 
 
-def rnn_backward(v, h, gout, linear):
+def rnn_backward(v, h, gout):
     """Reverse sweep through the recurrence.
 
     ``gout[t-1]`` is the loss gradient injected at h_t by the output head.
-    Returns (dv, dbias, dpre, dh0, hnorms) where hnorms[g] is the Frobenius
-    norm of dL/dh_{T-g} (recorded in the order the sweep produces them,
-    time gap ascending, including the initial state at gap T).  The
-    parameter gradients are one contraction over all steps after the sweep.
+    Returns (dv, dbias, dpre) with dpre the gradient at the pre-activations.
+    The parameter gradients are one contraction over all steps after the
+    sweep.
     """
     t_len = gout.shape[0]
     batch, n = h.shape[1], h.shape[2]
     dpre = np.empty((t_len, batch, n))
-    hnorms = np.empty(t_len + 1)
+    # modReLU passes the gradient exactly where its output is nonzero.
+    alive = h[1:] != 0.0
 
     dh = np.zeros((batch, n))
     for t in range(t_len, 0, -1):
         dh = dh + gout[t - 1]
-        hnorms[t_len - t] = np.linalg.norm(dh)
-        dz = dh if linear else np.where(h[t] != 0.0, dh, 0.0)
+        dz = np.where(alive[t - 1], dh, 0.0)
         dpre[t - 1] = dz
         dh = dz @ v
-    hnorms[t_len] = np.linalg.norm(dh)
 
     dv = dpre.reshape(-1, n).T @ h[:-1].reshape(-1, n)
-    dbias = np.zeros(n) if linear else np.sum(dpre * np.sign(h[1:]), axis=(0, 1))
-    return dv, dbias, dpre, dh, hnorms
+    dbias = np.sum(dpre * np.sign(h[1:]), axis=(0, 1))
+    return dv, dbias, dpre
 
 
 @dataclass
@@ -94,7 +91,6 @@ class RnnModel:
     b_out: np.ndarray      # (d_out,)
     schur: Optional[SchurParams] = None
     v_dense: Optional[np.ndarray] = None
-    linear_mode: bool = False
 
     def __post_init__(self):
         if self.cell_kind not in ("schur", "vanilla"):
@@ -107,14 +103,6 @@ class RnnModel:
     @property
     def n(self):
         return self.u_in.shape[0]
-
-    @property
-    def d_in(self):
-        return self.u_in.shape[1]
-
-    @property
-    def d_out(self):
-        return self.w_out.shape[0]
 
 
 @dataclass
@@ -131,14 +119,6 @@ class SequenceBatch:
         b, t, _ = self.inputs.shape
         if self.targets.shape != (b, t) or self.score_mask.shape != (b, t):
             raise ValueError("batch shapes are inconsistent")
-
-    @property
-    def batch_size(self):
-        return self.inputs.shape[0]
-
-    @property
-    def seq_len(self):
-        return self.inputs.shape[1]
 
 
 @dataclass
@@ -163,8 +143,7 @@ class ForwardResult:
     n_scored: int = 0
 
 
-def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0,
-               linear_mode=False):
+def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0):
     """Fresh model.  modReLU bias starts at zero so the activation is the
     identity at initialization; input/output maps use Glorot scaling."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -186,7 +165,6 @@ def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0,
         b_out=np.zeros(d_out),
         schur=params,
         v_dense=v_dense,
-        linear_mode=linear_mode,
     )
 
 
@@ -220,7 +198,7 @@ def forward(model, batch):
 
     pre = (_time_major_rows(batch.inputs) @ model.u_in.T).reshape(t_len, b, n)
     h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
-    h = rnn_forward(vv, pre, model.b_hidden, h0, model.linear_mode)
+    h = rnn_forward(vv, pre, model.b_hidden, h0)
 
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
@@ -251,7 +229,7 @@ def forward(model, batch):
     )
 
 
-def bptt(model, batch, fwd=None, return_hnorms=False):
+def bptt(model, batch, fwd=None):
     """Exact reverse-mode gradients for all model parameters.
 
     For the Schur cell the gradient on V is mapped back through the
@@ -278,15 +256,13 @@ def bptt(model, batch, fwd=None, return_hnorms=False):
     db_out = dlogits.sum(axis=(0, 1))
     gout = (dl @ model.w_out).reshape(t_len, b, n)
 
-    dv, dbias, dpre, _dh0, hnorms = rnn_backward(
-        fwd.v, h, gout, model.linear_mode
-    )
+    dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
     du_in = dpre.reshape(-1, n).T @ _time_major_rows(batch.inputs)
 
     schur_grads = None
     if model.cell_kind == "schur":
         schur_grads = schur_mod.backward_v(model.schur, dv, fwd.schur_cache)
-    grads = ModelGrads(
+    return ModelGrads(
         u_in=du_in,
         b_hidden=dbias,
         w_out=dw_out,
@@ -294,13 +270,3 @@ def bptt(model, batch, fwd=None, return_hnorms=False):
         v=dv,
         schur=schur_grads,
     )
-    if return_hnorms:
-        return grads, hnorms
-    return grads
-
-
-def gradient_norm_trace(model, batch):
-    """Norm of dL/dh_t recorded during the backward sweep, one entry per
-    time gap from the end of the sequence (gap 0 first)."""
-    _, hnorms = bptt(model, batch, return_hnorms=True)
-    return hnorms

@@ -23,7 +23,6 @@ __all__ = [
     "CharLmSpec",
     "char_lm_stream",
     "build_vocabulary",
-    "nats_to_bpc",
     "COPY_N_SYMBOLS",
     "COPY_N_DATA",
 ]
@@ -112,8 +111,8 @@ class CharLmSpec:
     window: int = 150
     batch_size: int = 8
     seed: int = 0
-    vocab: dict = field(default=None, repr=False)
-    ids: np.ndarray = field(default=None, repr=False)
+    vocab: dict = field(init=False, repr=False)
+    ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.window < 2:
@@ -124,7 +123,7 @@ class CharLmSpec:
             raw = fh.read()
         if len(raw) < self.window + 1:
             raise ValueError("corpus shorter than one window")
-        self.vocab, self._alphabet = build_vocabulary(raw)
+        self.vocab, _ = build_vocabulary(raw)
         self.ids = np.array([self.vocab[b] for b in raw], dtype=np.int64)
 
     @property
@@ -185,8 +184,3 @@ def char_lm_stream(spec):
     """Truncated-BPTT batch stream over the corpus with per-lane
     contiguous windows and hidden-state carry-over."""
     return _CharLmStream(spec)
-
-
-def nats_to_bpc(nats):
-    """Bits per character from mean cross entropy in nats."""
-    return nats / np.log(2.0)

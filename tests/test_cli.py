@@ -80,7 +80,9 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"model": {"n": 8, "scheme": "bogus"}},
     {"task": {"kind": "copy", "delay": 0}},
     {"model": {"n": 8, "cell_kind": "bogus"}},
-], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind"])
+    {"seed": "abc"},
+], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
+        "seed"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     out = tmp_path / "o"
     code = cli.main(["train", "--config", train_config(tmp_path, **over),
@@ -89,6 +91,54 @@ def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+TRANSIENTS = {"configs": [{"n": 10, "alpha": 1.05}], "n_samples": 1,
+              "t_max": 12}
+PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("transients", {**TRANSIENTS, "configs": [{"n": 10, "d": 1.5}]}),
+    ("transients", {**TRANSIENTS, "configs": [{"n": "ten"}]}),
+    ("transients", {**TRANSIENTS, "n_samples": 0}),
+    ("transients", {**TRANSIENTS, "t_max": -3}),
+    ("transients", {**TRANSIENTS, "configs": 5}),
+    ("props", {**PROPS, "prop2": [{"n": 9, "t_max": 8}]}),
+    ("props", {**PROPS, "prop1": [{"n": 6, "alpha": -1.0}]}),
+    ("props", {**PROPS, "prop1": [{"n": 1, "alpha": 1.0}]}),
+    ("props", {**PROPS, "prop2": 5}),
+], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
+        "prop2_n", "prop1_alpha", "prop1_n", "prop2_list"])
+def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmc", "--out", "x"],
+    ["train", "--config", "c.json", "--out", "x", "--seed", "abc"],
+    ["fmc", "--config", SWEEP, "--out", "x", "--seed", "3"],
+], ids=["missing_config", "seed_not_int", "fmc_seed"])
+def test_usage_error_exit_1(capsys, argv):
+    # exit 2 is kept for numerical failures; --seed exists on train and
+    # transients only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ from schurrnn import tasks
 from schurrnn.optim import (
     LOG_COLUMNS,
     DivergenceError,
-    RmsState,
     TrainConfig,
     rmsprop_step,
     stiefel_step,
@@ -154,14 +153,6 @@ def test_write_log_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == LOG_COLUMNS
     assert len(rows) == 3
-
-
-def test_rms_state_keying():
-    s = RmsState()
-    a = s.get_for("x", (2, 2))
-    assert a.shape == (2, 2) and np.all(a == 0)
-    a[0, 0] = 5.0
-    assert s.get_for("x", (2, 2))[0, 0] == 5.0
 
 
 def test_training_determinism():

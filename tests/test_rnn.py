@@ -5,7 +5,6 @@ from schurrnn.rnn import (
     SequenceBatch,
     bptt,
     forward,
-    gradient_norm_trace,
     init_model,
     modrelu,
     rnn_backward,
@@ -61,9 +60,9 @@ def test_forward_isometry_with_orthogonal_v():
 
 
 def test_forward_nilpotent_collapse():
-    """Strictly-lower-triangular V with linear activation zeroes the state
-    after n steps."""
-    model = init_model(6, 2, 2, cell_kind="vanilla", seed=0, linear_mode=True)
+    """Strictly-lower-triangular V at zero bias, where modReLU is the
+    identity, zeroes the state after n steps."""
+    model = init_model(6, 2, 2, cell_kind="vanilla", seed=0)
     model.v_dense = np.tril(np.ones((6, 6)), -1)
     rng = np.random.default_rng(2)
     batch = SequenceBatch(
@@ -160,35 +159,42 @@ def test_bptt_finite_differences(cell_kind):
             assert abs(num - grads.schur.b_skew[i, j]) <= 1e-5 * max(1.0, abs(num))
 
 
-def backward_per_step(v, h, gout, linear):
-    """Reference sweep that accumulates dV and dbias step by step."""
+def backward_per_step(v, h, gout):
+    """Reference sweep that masks each step's gradient with that step's
+    output and accumulates dV and dbias step by step."""
     t_len, batch, n = gout.shape
     dv, dbias = np.zeros((n, n)), np.zeros(n)
+    dpre = np.empty((t_len, batch, n))
     dh = np.zeros((batch, n))
     for t in range(t_len, 0, -1):
         dh = dh + gout[t - 1]
-        dz = dh if linear else np.where(h[t] != 0.0, dh, 0.0)
-        if not linear:
-            dbias += np.sum(dz * np.sign(h[t]), axis=0)
+        dz = np.where(h[t] != 0.0, dh, 0.0)
+        dpre[t - 1] = dz
+        dbias += np.sum(dz * np.sign(h[t]), axis=0)
         dv += dz.T @ h[t - 1]
         dh = dz @ v
-    return dv, dbias
+    return dv, dbias, dpre
 
 
-@pytest.mark.parametrize("linear", [False, True])
-def test_rnn_backward_matches_per_step_accumulation(linear):
-    """The after-sweep contraction for dV and dbias sums the same terms as
-    a per-step accumulation, only in another order."""
+@pytest.mark.parametrize("zero_bias", [False, True])
+def test_rnn_backward_matches_per_step_accumulation(zero_bias):
+    """The mask taken once before the sweep gives the same pre-activation
+    gradients as masking step by step, and the after-sweep contraction for
+    dV and dbias sums the same terms as a per-step accumulation, only in
+    another order.  At zero bias modReLU is the identity."""
     rng = np.random.default_rng(12)
     n, t_len, b = 32, 40, 6
     v = rng.normal(0, 1 / np.sqrt(n), (n, n))
     bias = rng.normal(size=n) * 0.5  # cuts some units, so the mask matters
+    if zero_bias:
+        bias[:] = 0.0
     h = rnn_forward(v, rng.normal(size=(t_len, b, n)), bias,
-                    rng.normal(size=(b, n)), linear)
-    assert linear or np.any(h[1:] == 0.0)
+                    rng.normal(size=(b, n)))
+    assert zero_bias or np.any(h[1:] == 0.0)
     gout = rng.normal(size=(t_len, b, n))
-    dv, dbias, *_ = rnn_backward(v, h, gout, linear)
-    ref_dv, ref_dbias = backward_per_step(v, h, gout, linear)
+    dv, dbias, dpre = rnn_backward(v, h, gout)
+    ref_dv, ref_dbias, ref_dpre = backward_per_step(v, h, gout)
+    assert np.array_equal(dpre, ref_dpre)
     assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
     assert np.linalg.norm(dbias - ref_dbias) <= 1e-13 * np.linalg.norm(ref_dbias)
 
@@ -198,20 +204,21 @@ def assert_rel_close(got, ref, label, tol=1e-13):
     assert err <= tol * np.linalg.norm(ref), (label, err)
 
 
-@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("zero_bias", [False, True])
 @pytest.mark.parametrize("carry", [False, True])
 @pytest.mark.parametrize("b,t_len,n,d_in,d_out", [
     (10, 70, 128, 10, 9),    # copy task
     (8, 150, 64, 56, 56),    # char-LM
 ])
-def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, linear):
+def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     """The GEMM input projection, output head and head gradients agree
     with the einsum contractions they replaced.  ``carry`` adds an h0 and
-    a partial score mask."""
-    model = init_model(n, d_in, d_out, scheme="cayley", seed=3,
-                       linear_mode=linear)
+    a partial score mask; ``zero_bias`` keeps the initial hidden bias, at
+    which modReLU is the identity."""
+    model = init_model(n, d_in, d_out, scheme="cayley", seed=3)
     rng = np.random.default_rng(4)
-    model.b_hidden = rng.normal(size=n) * 0.1
+    if not zero_bias:
+        model.b_hidden = rng.normal(size=n) * 0.1
     model.b_out = rng.normal(size=d_out)
     batch = random_batch(b, t_len, d_in, d_out, seed=5)
     if carry:
@@ -222,7 +229,7 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, linear):
 
     h0 = batch.h0 if carry else np.zeros((b, n))
     pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
-    h = rnn_forward(fwd.v, pre, model.b_hidden, h0, linear)
+    h = rnn_forward(fwd.v, pre, model.b_hidden, h0)
     logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
     assert_rel_close(fwd.hidden, h, "hidden")
     assert_rel_close(fwd.logits, logits, "logits")
@@ -234,7 +241,7 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, linear):
     dlogits = (p - onehot) * mask[..., None] / mask.sum()
     dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
     gout = np.einsum("bto,on->tbn", dlogits, model.w_out)
-    dv, dbias, dpre, _, _ = rnn_backward(fwd.v, h, gout, linear)
+    dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
     du_in = np.einsum("tbn,btd->nd", dpre, batch.inputs)
     ref_schur = backward_v(model.schur, dv, fwd.schur_cache)
 
@@ -249,7 +256,7 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, linear):
 
 
 def test_non_finite_hidden_raises():
-    model = init_model(4, 2, 2, cell_kind="vanilla", seed=0, linear_mode=True)
+    model = init_model(4, 2, 2, cell_kind="vanilla", seed=0)
     model.v_dense = np.eye(4) * 1e8
     batch = SequenceBatch(
         inputs=np.ones((1, 60, 2)),
@@ -260,42 +267,3 @@ def test_non_finite_hidden_raises():
         with pytest.raises(FloatingPointError):
             forward(model, batch)
 
-
-def _trace_model(v, t_len=12):
-    n = v.shape[0]
-    model = init_model(n, 2, 3, cell_kind="vanilla", seed=0, linear_mode=True)
-    model.v_dense = v
-    batch = SequenceBatch(
-        inputs=np.random.default_rng(10).normal(size=(2, t_len, 2)),
-        targets=np.zeros((2, t_len), dtype=np.int64),
-        score_mask=np.zeros((2, t_len), dtype=bool),
-    )
-    batch.score_mask[:, -1] = True  # inject gradient only at the last step
-    return gradient_norm_trace(model, batch)
-
-
-def test_gradient_trace_orthogonal_constant():
-    rng = np.random.default_rng(11)
-    g = rng.normal(size=(6, 6))
-    from scipy.linalg import expm
-    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
-    trace = _trace_model(q)
-    inner = trace[:-1]  # last entry is the h0 gap
-    assert np.all(inner > 0)
-    assert np.max(inner) / np.min(inner) < 1.0 + 1e-10
-
-
-def test_gradient_trace_geometric_decay():
-    trace = _trace_model(0.5 * np.eye(6))
-    ratios = trace[1:-1] / trace[:-2]
-    assert np.allclose(ratios, 0.5, atol=1e-12)
-
-
-def test_gradient_trace_polynomial_with_unit_triangular():
-    v = np.eye(6) + np.tril(np.ones((6, 6)), -1) * 0.5
-    trace = _trace_model(v)
-    # grows but far slower than a geometric with ratio ~ sigma_max(v)
-    assert trace[-2] > trace[0]
-    growth = trace[-2] / trace[0]
-    t_len = 12
-    assert growth < np.linalg.norm(v, 2) ** t_len

@@ -14,7 +14,6 @@ from schurrnn.tasks import (
     copy_baseline_loss,
     copy_batch,
     copy_stream,
-    nats_to_bpc,
 )
 
 CORPUS = "src/schurrnn/data/corpus.txt"
@@ -151,8 +150,3 @@ def test_untrained_loss_near_max_entropy(tmp_path):
     model.w_out[:] = 0.0
     fwd = rnn.forward(model, next(char_lm_stream(spec)))
     assert fwd.loss == pytest.approx(np.log(spec.vocab_size), abs=1e-10)
-
-
-def test_nats_to_bpc():
-    nats = 1.234
-    assert nats_to_bpc(nats) * np.log(2.0) == pytest.approx(nats, abs=1e-12)
