@@ -165,22 +165,27 @@ def cmd_fmc(config_path, out_dir):
     if not isinstance(doc["sweep"], list):
         raise ConfigError("sweep must be a list")
 
-    os.makedirs(out_dir, exist_ok=True)
-    summary = []
-    worst = 0
+    # As in cmd_transients, every row is checked before the output
+    # directory is made, so a bad value leaves nothing behind.
+    configs = []
     for i, row in enumerate(doc["sweep"]):
         _check_keys(row, _FMC_ROW_KEYS, {"n"}, f"sweep[{i}]")
         try:
-            cfg = memory.FmcConfig(
+            configs.append(memory.FmcConfig(
                 n=int(row["n"]),
                 d=float(row.get("d", 0.0)),
                 alpha=float(row.get("alpha", 1.0)),
                 beta=float(row.get("beta", 0.0)),
                 eps=float(row.get("eps", 1.0)),
                 k_max=int(row.get("k_max", 0)),
-            )
-        except ValueError as exc:
+            ))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep[{i}]: {exc}")
+
+    os.makedirs(out_dir, exist_ok=True)
+    summary = []
+    worst = 0
+    for i, cfg in enumerate(configs):
         try:
             res = memory.fisher_memory_curve(cfg)
         except DivergenceError:

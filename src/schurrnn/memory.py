@@ -63,6 +63,8 @@ class FmcConfig:
             raise ValueError("eps must be > 0")
         if not 0.0 <= self.d < 1.0:
             raise ValueError("d must lie in [0, 1) for the series to converge")
+        if self.k_max < 0:
+            raise ValueError("k_max must be >= 0")
 
 
 @dataclass
@@ -280,8 +282,18 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     unit hypersphere (normalized Gaussians) and return ensemble statistics
     of the per-unit standard deviation and the state norm at each t.
 
-    Per-sample RNG streams derive from (seed, sample index), so results do
-    not depend on evaluation order.
+    The starting states are the rows of one
+    ``np.random.default_rng(rng_seed).normal(size=(n_samples, n))`` draw,
+    each normalized.  The draw fills row by row, so sample s depends only
+    on (seed, s, n): the first m samples are the same for any
+    ``n_samples >= m``.  Earlier versions gave each sample its own
+    ``SeedSequence([seed, s])`` stream, so a given seed now yields
+    different, statistically equivalent statistics.
+
+    Theta is lower triangular, so leading units that are exactly zero in
+    every sample stay zero: each step multiplies only the trailing live
+    block, and stepping stops once the whole state is zero (from t = n on
+    when d = 0), leaving the remaining statistics exactly 0.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -291,19 +303,25 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     n = cfg.n
     t_max = t_max if t_max is not None else 2 * n
 
-    h = np.empty((n_samples, n))
-    for s in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, s]))
-        x = rng.normal(size=n)
-        h[s] = x / np.linalg.norm(x)
+    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    h = x.T   # (units, samples)
 
-    unit_std = np.empty((t_max + 1, n_samples))
-    norms = np.empty((t_max + 1, n_samples))
+    unit_std = np.zeros((t_max + 1, n_samples))
+    norms = np.zeros((t_max + 1, n_samples))
+    k = 0   # h holds units k..n-1; the units before k are exactly zero
     for t in range(t_max + 1):
-        unit_std[t] = h.std(axis=1)
-        norms[t] = np.linalg.norm(h, axis=1)
+        while k < n and not h[0].any():
+            h = h[1:]
+            k += 1
+        if k == n:
+            break
+        sumsq = np.einsum("ij,ij->j", h, h)
+        mean = h.sum(axis=0) / n
+        norms[t] = np.sqrt(sumsq)
+        unit_std[t] = np.sqrt(np.maximum(sumsq / n - mean * mean, 0.0))
         if t < t_max:
-            h = h @ theta.T
+            h = theta[k:, k:] @ h
     return TransientStats(
         t=np.arange(t_max + 1),
         unit_std_mean=unit_std.mean(axis=1),

@@ -93,6 +93,8 @@ def verify_prop2(n, t_max):
     """Exhaustively check degree, zero constant term, the power recurrence,
     and the bounded coefficient ratio coeff(x^l) / C(t, l) <= 2^k for all
     powers t <= t_max.  Exact integer arithmetic throughout."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     if n > 8 or t_max > 30:
         raise ValueError("exact verification is budgeted for n <= 8, t <= 30")
     a = prop2_matrix(n)

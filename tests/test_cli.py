@@ -108,8 +108,12 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("props", {**PROPS, "prop1": [{"n": 6, "alpha": -1.0}]}),
     ("props", {**PROPS, "prop1": [{"n": 1, "alpha": 1.0}]}),
     ("props", {**PROPS, "prop2": 5}),
+    ("props", {**PROPS, "prop2": [{"n": 4, "t_max": 0}]}),
+    ("fmc", {"sweep": [{"n": 4}, {"n": 4, "k_max": -5}]}),
+    ("fmc", {"sweep": [{"n": 4}, {"n": None}]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
-        "prop2_n", "prop1_alpha", "prop1_n", "prop2_list"])
+        "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
+        "fmc_k_max", "fmc_n_null"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
     code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),

@@ -66,6 +66,8 @@ def test_config_validation():
         FmcConfig(n=4, d=1.0)
     with pytest.raises(ValueError):
         FmcConfig(n=4, d=-0.1)
+    with pytest.raises(ValueError):
+        FmcConfig(n=4, k_max=-5)
 
 
 def test_build_theta_family_layout():
@@ -316,3 +318,57 @@ def test_transient_determinism():
     b = transient_ensemble(cfg, n_samples=20, t_max=10, rng_seed=3)
     assert np.array_equal(a.norm_mean, b.norm_mean)
     assert np.array_equal(a.unit_std_std, b.unit_std_std)
+
+
+def library_starting_states(n, n_samples, seed):
+    """The starting states transient_ensemble draws, one per row."""
+    x = np.random.default_rng(seed).normal(size=(n_samples, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def transient_oracle(cfg, h0, t_max):
+    """The dense loop: the full h @ Theta^T, np.std and np.linalg.norm at
+    every step, from the sample-major starting states ``h0``."""
+    theta = build_theta_family(cfg)
+    h = h0
+    unit_std = np.empty((t_max + 1, len(h0)))
+    norms = np.empty((t_max + 1, len(h0)))
+    for t in range(t_max + 1):
+        unit_std[t] = h.std(axis=1)
+        norms[t] = np.linalg.norm(h, axis=1)
+        if t < t_max:
+            h = h @ theta.T
+    return (unit_std.mean(axis=1), unit_std.std(axis=1),
+            norms.mean(axis=1), norms.std(axis=1))
+
+
+@pytest.mark.parametrize("row,n_samples,t_max", [
+    (dict(n=30, d=0.0, alpha=1.05, beta=0.0), 200, 45),
+    (dict(n=30, d=0.0, alpha=1.05, beta=0.005), 200, 45),
+    (dict(n=30, d=0.5, alpha=1.02, beta=0.01), 200, 60),
+    (dict(n=100, d=0.0, alpha=1.0, beta=0.005), 1000, 120),
+], ids=["d0", "d0_beta", "d_positive", "bench_shape"])
+def test_transient_matches_dense_oracle(row, n_samples, t_max):
+    cfg = FmcConfig(**row)
+    stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
+                               rng_seed=7)
+    ref = transient_oracle(
+        cfg, library_starting_states(cfg.n, n_samples, 7), t_max)
+    got = (stats.unit_std_mean, stats.unit_std_std,
+           stats.norm_mean, stats.norm_std)
+    for g, r in zip(got, ref):
+        # atol covers norm_std[0], rounding noise around 1e-16
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+
+
+def test_transient_draw_is_prefix_stable():
+    # sample s's starting state does not depend on n_samples
+    n, seed = 12, 5
+    first = library_starting_states(n, 50, seed)[:20]
+    assert np.array_equal(first, library_starting_states(n, 20, seed))
+    cfg = FmcConfig(n=n, d=0.0, alpha=1.05, beta=0.005)
+    stats = transient_ensemble(cfg, n_samples=20, t_max=15, rng_seed=seed)
+    ref = transient_oracle(cfg, first, 15)
+    np.testing.assert_allclose(stats.norm_mean, ref[2], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(stats.unit_std_mean, ref[0], rtol=1e-12,
+                               atol=1e-14)

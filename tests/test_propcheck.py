@@ -72,6 +72,13 @@ def test_verify_prop2_budget():
         verify_prop2(4, 31)
 
 
+@pytest.mark.parametrize("n,t_max", [(4, 0), (4, -2), (1, 5)])
+def test_verify_prop2_rejects_empty_check(n, t_max):
+    # no power or no gap to verify: a report would claim checks never run
+    with pytest.raises(ValueError):
+        verify_prop2(n, t_max)
+
+
 def test_verify_prop2_json_roundtrip():
     rep = verify_prop2(4, 6)
     doc = json.loads(rep.to_json())
