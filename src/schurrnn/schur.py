@@ -46,8 +46,8 @@ def t_lower_mask(n):
     the block-diagonal and feed-forward parts disjoint.
     """
     mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    for k in range(n // 2):
-        mask[2 * k + 1, 2 * k] = False
+    odd = np.arange(1, n, 2)
+    mask[odd, odd - 1] = False
     return mask
 
 
@@ -115,29 +115,55 @@ def assemble_theta(p):
     return theta
 
 
+def _guarded_div(num, den, at_zero):
+    """num / den, with ``at_zero`` (the limit) where den is exactly 0."""
+    return np.divide(num, den, out=np.full_like(num, at_zero),
+                     where=den != 0.0)
+
+
 def assemble_v(p):
     """Return (V, cache) with V = P Theta P^T and P = exp(b_skew).
 
-    -i B is Hermitian, so one eigendecomposition B = U diag(i omega) U^H
-    gives P = Re(U diag(e^{i omega}) U^H).  The cache (P, Theta, U, omega)
-    is consumed by :func:`backward_v`.
+    B is skew, so B^2 = -B^T B and exp(B) = cos|B| + B sinc|B| with
+    |B| = (B^T B)^(1/2).  One real symmetric eigendecomposition
+    B^T B = Y diag(a^2) Y^T gives P = (Y cos a + (B Y) sinc a) Y^T, where
+    sinc 0 = 1.  The cache (P, Theta, Y, a) is consumed by
+    :func:`backward_v`.
     """
-    omega, u = np.linalg.eigh(-1j * p.b_skew)
-    big_p = ((u * np.exp(1j * omega)) @ u.conj().T).real
+    b = p.b_skew
+    lam, y = np.linalg.eigh(b.T @ b)
+    a = np.sqrt(np.maximum(lam, 0.0))
+    big_p = (y * np.cos(a) + (b @ y) * _guarded_div(np.sin(a), a, 1.0)) @ y.T
     theta = assemble_theta(p)
     v = big_p @ theta @ big_p.T
-    return v, (big_p, theta, u, omega)
+    return v, (big_p, theta, y, a)
 
 
 def backward_v(p, grad_v, cache):
     """Map a loss gradient on V back to gradients on the Schur parameters.
 
-    ``cache`` is the (P, Theta, U, omega) tuple returned by
+    ``cache`` is the (P, Theta, Y, a) tuple returned by
     :func:`assemble_v`.  The b_skew gradient is expressed on the
     independent lower-half entries and mirrored, so it is itself
     skew-symmetric.
+
+    The pullback through P = exp(B) is the adjoint of the Frechet
+    derivative, L*(G) = int_0^1 e^{-sB} G e^{-(1-s)B} ds.  In the basis Y,
+    Y^T e^{-sB} Y = diag(cos sa) - K diag(sin(sa) / a) with K = Y^T B Y,
+    and K couples only equal a.  With G^ = Y^T G_P Y, h+- = (a_j +- a_k)/2
+    and the symmetric divided differences
+
+        F1 = (sinc h+ cos h- + cos h+ sinc h-) / 2
+        F2 = sinc h+ sinc h- / 2
+        F4 = (sinc h+ cos h- - cos h+ sinc h-) / (2 a_j a_k)  (1/6 at 0),
+
+    the skew part that b_skew needs is
+    Y (F1 o D - W + W^T + K (F4 o D) K) Y^T with D = G^ - G^T and
+    W = K (F2 o (G^ + G^T)).  It is formed as X - X^T with
+    X = Y (F1 o G^ + K ((F4 o G^) K - F2 o (G^ + G^T))) Y^T, which is
+    exactly skew.  Equal and zero a need only the guarded divisions.
     """
-    big_p, theta, u, omega = cache
+    big_p, theta, y, a = cache
     n = p.n
     grad_v = np.asarray(grad_v, dtype=np.float64)
     if grad_v.shape != (n, n):
@@ -155,20 +181,30 @@ def backward_v(p, grad_v, cache):
     d_gamma = c * (g00 + g11) + s * (g10 - g01)
     d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
 
-    # dL/dP, then pull back through the exponential map.  The adjoint of the
-    # Frechet derivative of exp at B = U diag(i omega) U^H is
-    # G -> U (conj(Phi) o (U^H G U)) U^H with the divided differences
-    # Phi_jk = e^{i (omega_j + omega_k) / 2} sinc((omega_j - omega_k) / 2),
-    # which need no special case for equal eigenvalues.
+    # dL/dP, then pull back through the exponential map.  cos h+-, sin h+
+    # come from the half-angle outer products; sin h- is taken directly,
+    # since the product form cancels where a_j is close to a_k.
     grad_p = grad_v @ big_p @ theta.T + grad_v.T @ big_p @ theta
-    half_sum = 0.5 * (omega[:, None] + omega[None, :])
-    half_diff = 0.5 * (omega[:, None] - omega[None, :])
-    phi_bar = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
-    uh = u.conj().T
-    adj = (u @ (phi_bar * (uh @ grad_p @ u)) @ uh).real
+    half = 0.5 * a
+    ch, sh = np.cos(half), np.sin(half)
+    cc = np.multiply.outer(ch, ch)
+    ss = np.multiply.outer(sh, sh)
+    sc = np.multiply.outer(sh, ch)
+    h_plus = half[:, None] + half[None, :]
+    h_minus = half[:, None] - half[None, :]
+    sinc_plus = _guarded_div(sc + sc.T, h_plus, 1.0)
+    sinc_minus = _guarded_div(np.sin(h_minus), h_minus, 1.0)
+    cos_plus, cos_minus = cc - ss, cc + ss
+    f1 = 0.5 * (sinc_plus * cos_minus + cos_plus * sinc_minus)
+    f2 = 0.5 * sinc_plus * sinc_minus
+    f4 = _guarded_div(0.5 * (sinc_plus * cos_minus - cos_plus * sinc_minus),
+                      np.multiply.outer(a, a), 1.0 / 6.0)
+    k = y.T @ (p.b_skew @ y)
+    g_hat = y.T @ grad_p @ y
+    x = y @ (f1 * g_hat + k @ ((f4 * g_hat) @ k - f2 * (g_hat + g_hat.T))) @ y.T
 
     return SchurParamGrads(
-        b_skew=adj - adj.T,
+        b_skew=x - x.T,
         gamma=d_gamma,
         theta=d_theta,
         t_lower=np.where(t_lower_mask(n), grad_theta, 0.0),
@@ -263,24 +299,45 @@ def save_checkpoint(p, path, scheme=None, seed=None):
         fh.write("\n")
 
 
+def _floats(values, name):
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has a non-finite or null entry")
+    return arr
+
+
+def _lower_from_rows(rows, n, name):
+    """Strictly-lower matrix from the rows written by :func:`_lower_rows`."""
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(row, list) or len(row) != i
+                   for i, row in enumerate(rows))):
+        raise ValueError(f"{name} must hold {n} rows of lengths 0..{n - 1}")
+    m = np.zeros((n, n))
+    m[np.tril_indices(n, -1)] = _floats([x for row in rows for x in row], name)
+    return m
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by :func:`save_checkpoint`.  Returns
+    (params, scheme, seed); a malformed document raises ``ValueError``
+    (``KeyError`` for a missing field)."""
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
-    b = np.zeros((n, n))
-    t = np.zeros((n, n))
-    for i in range(n):
-        for j, val in enumerate(doc["b_skew"][i]):
-            b[i, j] = val
-        for j, val in enumerate(doc["t_lower"][i]):
-            t[i, j] = val
-    b = _skew_from_lower(b)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must be a JSON object")
+    n = doc["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    t = _lower_from_rows(doc["t_lower"], n, "t_lower")
     t[~t_lower_mask(n)] = 0.0
     params = SchurParams(
         n=n,
-        b_skew=b,
-        gamma=np.array(doc["gamma"], dtype=np.float64),
-        theta=np.array(doc["theta"], dtype=np.float64),
+        b_skew=_skew_from_lower(_lower_from_rows(doc["b_skew"], n, "b_skew")),
+        gamma=_floats(doc["gamma"], "gamma"),
+        theta=_floats(doc["theta"], "theta"),
         t_lower=t,
     )
     return params, doc.get("scheme"), doc.get("seed")

@@ -266,6 +266,39 @@ def test_report_bad_checkpoint_exit_1(tmp_path):
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda doc: doc["b_skew"].pop(),
+    lambda doc: doc["b_skew"][4].pop(),
+    lambda doc: doc["t_lower"][-1].extend([0.0, 0.0]),
+    lambda doc: doc["t_lower"][3].__setitem__(0, None),
+    lambda doc: doc.update(gamma={"a": 1.0}),
+    lambda doc: doc.update(n="8"),
+], ids=["b_skew_missing_row", "b_skew_short_row", "t_lower_long_row",
+        "t_lower_null", "gamma_object", "n_string"])
+def test_report_malformed_checkpoint_exit_1(tmp_path, capsys, mangle):
+    doc = {"n": 8, "gamma": [1.0] * 4, "theta": [0.5] * 4,
+           "b_skew": [[0.1] * i for i in range(8)],
+           "t_lower": [[0.0] * i for i in range(8)]}
+    mangle(doc)
+    out = tmp_path / "o"
+    code = cli.main(["report", "--config", write_json(tmp_path / "c.json", doc),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_report_non_object_checkpoint_exit_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["report", "--config", write_json(tmp_path / "c.json", [8]),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_determinism_identical_logs(tmp_path):
     cfgp = train_config(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -42,6 +42,11 @@ def test_t_lower_mask_excludes_block_subdiagonal():
     assert mask[2, 0] and mask[4, 1] and mask[5, 0]
     assert not np.any(np.triu(mask))
     assert mask.sum() == 6 * 5 // 2 - 3
+    for n in (2, 8, 128):
+        ref = np.tril(np.ones((n, n), dtype=bool), k=-1)
+        for k in range(n // 2):
+            ref[2 * k + 1, 2 * k] = False
+        assert np.array_equal(t_lower_mask(n), ref)
 
 
 def test_param_validation():
@@ -164,11 +169,24 @@ def _oracle_generator(n, case):
         return b - b.T
     if case == "large_norm":
         return 10.0 * init_params(n, scheme="random_orth", rng_seed=1).b_skew
+    if case == "tiny":
+        # every singular value a of B close to 0
+        return 1e-6 * init_params(n, scheme="random_orth", rng_seed=1).b_skew
+    if case == "near_repeated":
+        # the eigenvalues of B^T B split by about 1e-9
+        g = np.tril(np.random.default_rng(2).normal(size=(n, n)), -1)
+        return _oracle_generator(n, "repeated_blocks") + 1e-9 * (g - g.T)
+    if case == "zero_block":
+        # a = 0 beside nonzero a
+        b = init_params(n, scheme="henaff", rng_seed=1).b_skew
+        b[2:4, 2:4] = 0.0
+        return b
     return init_params(n, scheme=case, rng_seed=1).b_skew
 
 
 @pytest.mark.parametrize("case", ["henaff", "cayley", "random_orth", "zero",
-                                  "repeated_blocks", "large_norm"])
+                                  "repeated_blocks", "large_norm", "tiny",
+                                  "near_repeated", "zero_block"])
 @pytest.mark.parametrize("n", [64, 128])
 def test_exponential_map_and_pullback_match_scipy(n, case):
     """P and the b_skew gradient against scipy's Pade expm and the Frechet
@@ -186,6 +204,20 @@ def test_exponential_map_and_pullback_match_scipy(n, case):
     adj = expm_frechet(p.b_skew.T, grad_p, compute_expm=False)
     ref = adj - adj.T
     assert np.linalg.norm(grads.b_skew - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_schur_layer_is_real_float64():
+    """The exponential map and its pullback run in real arithmetic: every
+    cached array and every gradient field is real float64."""
+    p = random_params(16, seed=4)
+    _, cache = assemble_v(p)
+    assert len(cache) == 4
+    for arr in cache:
+        assert arr.dtype == np.float64
+    grad_v = np.random.default_rng(5).normal(size=(16, 16))
+    grads = backward_v(p, grad_v, cache)
+    for field in ("b_skew", "gamma", "theta", "t_lower"):
+        assert getattr(grads, field).dtype == np.float64, field
 
 
 def test_import_loads_no_scipy():
