@@ -33,10 +33,9 @@ def modrelu(z, b):
     """modReLU on real inputs: (|z| + b) * sign(z) where |z| + b > 0,
     else 0; sign(0) = 0.  Identity when b = 0."""
     z = np.asarray(z, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mag = np.abs(z) + b
-    # Select on ``mag <= 0`` so that a NaN pre-activation stays NaN.
-    return np.where(mag <= 0.0, 0.0, mag * np.sign(z))
+    # ``maximum`` and the final product propagate NaN, so a NaN
+    # pre-activation (or bias) stays NaN.
+    return np.copysign(np.maximum(np.abs(z) + b, 0.0), z) * (z != 0.0)
 
 
 # Time-major layout throughout the recurrence: ``pre`` and ``dpre`` are
@@ -133,8 +132,7 @@ class ModelGrads:
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray          # (B, T, d_out)
-    logp: np.ndarray            # (B, T, d_out) log-softmax of the logits
+    probs: np.ndarray           # (T*B, d_out) softmax, time-major rows
     hidden: np.ndarray          # (T+1, B, n) time-major trace
     loss: float
     final_hidden: np.ndarray    # (B, n)
@@ -176,22 +174,24 @@ def _resolve_v(model):
     return schur_mod.assemble_v(model.schur)
 
 
-def _log_softmax(logits):
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-
-
 def _time_major_rows(a):
     """(B, T, k) -> (T*B, k) with rows in the recurrence's time-major
     order, so the projections and head gradients are single GEMMs."""
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
+def _scored_rows(batch):
+    """Time-major row indices of the scored steps and their targets.
+    Targets at unscored steps are never read."""
+    mask = batch.score_mask.T
+    return np.flatnonzero(mask), batch.targets.T[mask]
+
+
 def forward(model, batch):
-    """Forward pass: hidden trace, logits, and mean cross entropy (nats)
-    over the scored steps.  Raises :class:`DivergenceError` on a gamma that
-    is not > 0 or a non-finite hidden state."""
+    """Forward pass: hidden trace, softmax of the output head, and mean
+    cross entropy (nats) over the scored steps.  Raises
+    :class:`DivergenceError` on a gamma that is not > 0 or a non-finite
+    hidden state."""
     vv, cache = _resolve_v(model)
     b, t_len, _ = batch.inputs.shape
     n = model.n
@@ -204,28 +204,25 @@ def forward(model, batch):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
         raise DivergenceError(f"non-finite hidden state at step {bad}")
 
-    logits = (h[1:].reshape(-1, n) @ model.w_out.T + model.b_out).reshape(
-        t_len, b, -1).transpose(1, 0, 2)
-    logp = _log_softmax(logits)
-
-    mask = batch.score_mask
-    n_scored = int(mask.sum())
-    if n_scored:
-        tgt = np.where(mask, batch.targets, 0)
-        picked = np.take_along_axis(logp, tgt[..., None], axis=-1)[..., 0]
-        loss = float(-np.sum(picked[mask]) / n_scored)
-    else:
-        loss = 0.0
+    # One (T*B, d_out) buffer goes from logits to probabilities in place.
+    rows, tgt = _scored_rows(batch)
+    probs = h[1:].reshape(-1, n) @ model.w_out.T
+    probs += model.b_out
+    probs -= probs.max(axis=1, keepdims=True)
+    picked = probs[rows, tgt]
+    np.exp(probs, out=probs)
+    sums = probs.sum(axis=1, keepdims=True)
+    loss = float(np.sum(np.log(sums[rows, 0]) - picked) / max(rows.size, 1))
+    probs /= sums
 
     return ForwardResult(
-        logits=logits,
-        logp=logp,
+        probs=probs,
         hidden=h,
         loss=loss,
         final_hidden=h[-1].copy(),
         v=vv,
         schur_cache=cache,
-        n_scored=n_scored,
+        n_scored=rows.size,
     )
 
 
@@ -239,21 +236,17 @@ def bptt(model, batch, fwd=None):
     if fwd is None:
         fwd = forward(model, batch)
 
-    b, t_len, d_out = fwd.logits.shape
-    mask = batch.score_mask
-    dlogits = np.zeros_like(fwd.logits)
-    if fwd.n_scored:
-        p = np.exp(fwd.logp)
-        tgt = np.where(mask, batch.targets, 0)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, tgt[..., None], 1.0, axis=-1)
-        dlogits = (p - onehot) * mask[..., None] / fwd.n_scored
+    # Cross-entropy gradient at the logits, in the head's time-major rows.
+    rows, tgt = _scored_rows(batch)
+    scale = 1.0 / max(fwd.n_scored, 1)
+    dl = fwd.probs * (batch.score_mask.T.reshape(-1, 1) * scale)
+    dl[rows, tgt] -= scale
 
     h = fwd.hidden
+    b, t_len = batch.score_mask.shape
     n = model.n
-    dl = _time_major_rows(dlogits)
     dw_out = dl.T @ h[1:].reshape(-1, n)
-    db_out = dlogits.sum(axis=(0, 1))
+    db_out = dl.sum(axis=0)
     gout = (dl @ model.w_out).reshape(t_len, b, n)
 
     dv, dbias, dpre = rnn_backward(fwd.v, h, gout)

@@ -22,6 +22,25 @@ def random_batch(b, t, d_in, d_out, seed=0):
     )
 
 
+def modrelu_oracle(z, b):
+    """The select form of modReLU: (|z| + b) * sign(z) where |z| + b > 0,
+    else 0, selecting on ``mag <= 0`` so that NaN stays NaN."""
+    mag = np.abs(z) + b
+    return np.where(mag <= 0.0, 0.0, mag * np.sign(z))
+
+
+def test_modrelu_matches_select_oracle():
+    """NaN-exact agreement with the select form, including a NaN or
+    infinite bias at z == 0, where both give NaN."""
+    z = np.array([0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0,
+                  np.inf, -np.inf, np.nan])[:, None]
+    b = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, np.nan, np.inf])
+    with np.errstate(invalid="ignore"):
+        got = modrelu(z, b)
+        ref = modrelu_oracle(z, b)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
 def test_modrelu_cases():
     z = np.array([2.0, -2.0, 0.5, -0.5, 0.0])
     b = np.array([-1.0, -1.0, -1.0, -1.0, 1.0])
@@ -91,11 +110,71 @@ def test_loss_masking():
     batch.score_mask[:, -1] = True
     fwd = forward(model, batch)
     assert fwd.n_scored == 4
-    # manual cross entropy on the last step
-    logits = fwd.logits[:, -1]
+    # manual cross entropy on the last step; its rows are the last four
+    # of the time-major head
+    logits = np.einsum("bn,on->bo", fwd.hidden[-1], model.w_out) + model.b_out
     logp = logits - np.log(np.sum(np.exp(logits), axis=-1, keepdims=True))
     manual = -np.mean(logp[np.arange(4), batch.targets[:, -1]])
     assert abs(fwd.loss - manual) < 1e-12
+    assert_rel_close(fwd.probs[-4:], np.exp(logp), "probs")
+
+
+def test_head_nothing_scored():
+    model = init_model(8, 3, 5, seed=0)
+    batch = random_batch(4, 6, 3, 5, seed=4)
+    batch.score_mask[:] = False
+    fwd = forward(model, batch)
+    grads = bptt(model, batch, fwd=fwd)
+    assert fwd.n_scored == 0 and fwd.loss == 0.0
+    for name in ("w_out", "b_out", "u_in", "v"):
+        assert np.all(getattr(grads, name) == 0.0), name
+
+
+def test_head_ignores_targets_at_unscored_steps():
+    """Targets at unscored steps are never read, even out of range."""
+    d_out = 5
+    model = init_model(8, 3, d_out, seed=0)
+    valid = random_batch(4, 6, 3, d_out, seed=4)
+    valid.score_mask[:, ::2] = False
+    bad = random_batch(4, 6, 3, d_out, seed=4)
+    bad.score_mask[:] = valid.score_mask
+    bad.targets[:, 0] = -1
+    bad.targets[:, 2] = d_out
+    runs = []
+    for batch in (valid, bad):
+        fwd = forward(model, batch)
+        runs.append((fwd.loss, bptt(model, batch, fwd=fwd)))
+    (loss_v, g_v), (loss_b, g_b) = runs
+    assert loss_v == loss_b
+    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        assert np.array_equal(getattr(g_v, name), getattr(g_b, name)), name
+
+
+def test_head_large_output_bias_stays_finite():
+    model = init_model(8, 3, 5, seed=0)
+    model.b_out[2] = 1e3
+    batch = random_batch(4, 6, 3, 5, seed=4)
+    fwd = forward(model, batch)
+    grads = bptt(model, batch, fwd=fwd)
+    assert np.isfinite(fwd.loss) and fwd.loss > 0.0
+    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        assert np.all(np.isfinite(getattr(grads, name))), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.all(np.isfinite(getattr(grads.schur, name))), name
+
+
+def test_bptt_leaves_forward_result_reusable():
+    """``bptt`` does not consume the cached probabilities in place."""
+    model = init_model(8, 3, 5, seed=0)
+    batch = random_batch(4, 6, 3, 5, seed=4)
+    batch.score_mask[1, :3] = False
+    fwd = forward(model, batch)
+    first, second = bptt(model, batch, fwd=fwd), bptt(model, batch, fwd=fwd)
+    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.array_equal(getattr(first.schur, name),
+                              getattr(second.schur, name)), name
 
 
 @pytest.mark.parametrize("cell_kind", ["schur", "vanilla"])
@@ -231,12 +310,13 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
     h = rnn_forward(fwd.v, pre, model.b_hidden, h0)
     logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
-    assert_rel_close(fwd.hidden, h, "hidden")
-    assert_rel_close(fwd.logits, logits, "logits")
-
     mask = batch.score_mask
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
+    assert_rel_close(fwd.hidden, h, "hidden")
+    assert_rel_close(fwd.probs, p.transpose(1, 0, 2).reshape(-1, d_out),
+                     "probs")
+
     onehot = np.eye(d_out)[batch.targets]
     dlogits = (p - onehot) * mask[..., None] / mask.sum()
     dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
