@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, fmc, transients, props, report.  Configs are JSON
-documents validated field-by-field (unknown keys are rejected); outputs
-are CSV curves and JSON reports meant for external plotting.
+documents validated field-by-field (unknown keys and mistyped values are
+rejected); outputs are CSV curves and JSON reports meant for external
+plotting.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (divergence or series non-convergence).
@@ -10,11 +11,11 @@ failure (divergence or series non-convergence).
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
+import typing
 
 from . import analysis, memory, propcheck, schur, tasks
 from .optim import DivergenceError, TrainConfig, train_loop, write_log_csv
@@ -45,23 +46,58 @@ def _load_json(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
-def _check_keys(doc, allowed, required, where):
+# JSON types a field of each Python type takes; a boolean is none of them.
+_JSON_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
+    typing.Optional[int]: ((int, type(None)), "an integer or null"),
+}
+
+
+def _checked(doc, types, required, where):
+    """The JSON object ``doc`` as a dict, after checking that its keys are
+    among those of ``types``, that it has every ``required`` key, and that
+    each value has its key's type.  Float values come back as floats."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
+    values = {}
+    for key, value in doc.items():
+        json_type, name = _JSON_TYPES[types[key]]
+        if isinstance(value, bool) or not isinstance(value, json_type):
+            raise ConfigError(
+                f"{where}: {key} must be {name}, not {json.dumps(value)}")
+        values[key] = float(value) if types[key] is float else value
+    return values
 
 
-def _seed(doc, seed_override):
+def _from_doc(cls, doc, where, keys=None):
+    """An instance of the dataclass ``cls`` from the JSON object ``doc``.
+    The allowed keys are the fields of ``cls`` (those in ``keys``, if
+    given), the required keys are the fields without a default, and each
+    value must have its field's type; the range checks are the class's
+    own."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls)
+              if keys is None or f.name in keys]
+    values = _checked(
+        doc,
+        {f.name: hints[f.name] for f in fields},
+        {f.name for f in fields if f.default is dataclasses.MISSING},
+        where,
+    )
     try:
-        return int(seed_override if seed_override is not None
-                   else doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed: {exc}")
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _write_csv(path, header, rows):
@@ -71,23 +107,26 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_report(params, out_dir):
+    report = analysis.connectivity_report(params)
+    analysis.write_report_json(
+        report, os.path.join(out_dir, "connectivity_report.json"))
+    analysis.write_profile_csv(
+        report, os.path.join(out_dir, "subdiag_profile.csv"))
+
+
 # --- train --------------------------------------------------------------------
 
-_TRAIN_KEYS = {
-    "lr", "lr_orth", "rms_alpha", "delta", "t_decay", "gamma_mode",
-    "gamma_clamp", "batch_size", "max_updates", "log_every",
-}
-
-
 def _build_task(doc, batch_size, seed):
-    _check_keys(doc, {"kind", "delay", "corpus", "window"}, {"kind"}, "task")
+    doc = _checked(doc, {"kind": str, "delay": int, "corpus": str,
+                         "window": int}, {"kind"}, "task")
     kind = doc["kind"]
     if kind == "char_lm" and "corpus" not in doc:
         raise ConfigError("task: char_lm requires a corpus path")
     try:
         if kind == "copy":
             spec = tasks.CopyTaskSpec(
-                delay=int(doc.get("delay", 50)),
+                delay=doc.get("delay", 50),
                 batch_size=batch_size,
                 seed=seed,
             )
@@ -95,42 +134,37 @@ def _build_task(doc, batch_size, seed):
         if kind == "char_lm":
             spec = tasks.CharLmSpec(
                 corpus_path=doc["corpus"],
-                window=int(doc.get("window", 150)),
+                window=doc.get("window", 150),
                 batch_size=batch_size,
                 seed=seed,
             )
             return tasks.char_lm_stream(spec), spec.vocab_size, spec.vocab_size
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"task: {exc}")
     raise ConfigError(f"task: unknown kind {kind!r}")
 
 
 def cmd_train(config_path, out_dir, seed_override):
-    doc = _load_json(config_path)
-    _check_keys(doc, {"task", "model", "train", "seed"}, {"task", "model"},
-                "config")
-    seed = _seed(doc, seed_override)
-
-    model_doc = doc["model"]
-    _check_keys(model_doc, {"n", "cell_kind", "scheme"}, {"n"}, "model")
-    train_doc = doc.get("train", {})
-    _check_keys(train_doc, _TRAIN_KEYS, set(), "train")
-    try:
-        config = TrainConfig(**train_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}")
+    doc = _checked(_load_json(config_path),
+                   {"task": dict, "model": dict, "train": dict, "seed": int},
+                   {"task", "model"}, "config")
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    model_doc = _checked(doc["model"], {"n": int, "cell_kind": str,
+                                        "scheme": str}, {"n"}, "model")
+    scheme = model_doc.get("scheme", "henaff")
+    config = _from_doc(TrainConfig, doc.get("train", {}), "train")
 
     stream, d_in, d_out = _build_task(doc["task"], config.batch_size, seed)
     try:
         model = init_model(
-            n=int(model_doc["n"]),
+            n=model_doc["n"],
             d_in=d_in,
             d_out=d_out,
             cell_kind=model_doc.get("cell_kind", "schur"),
-            scheme=model_doc.get("scheme", "henaff"),
+            scheme=scheme,
             seed=seed,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
@@ -144,43 +178,21 @@ def cmd_train(config_path, out_dir, seed_override):
     if model.cell_kind == "schur":
         schur.save_checkpoint(
             model.schur, os.path.join(out_dir, "checkpoint.json"),
-            scheme=model_doc.get("scheme", "henaff"), seed=seed,
+            scheme=scheme, seed=seed,
         )
-        report = analysis.connectivity_report(model.schur)
-        analysis.write_report_json(
-            report, os.path.join(out_dir, "connectivity_report.json"))
-        analysis.write_profile_csv(
-            report, os.path.join(out_dir, "subdiag_profile.csv"))
+        _write_report(model.schur, out_dir)
     return 0
 
 
 # --- fmc ----------------------------------------------------------------------
 
-_FMC_ROW_KEYS = {"n", "d", "alpha", "beta", "eps", "k_max"}
-
-
 def cmd_fmc(config_path, out_dir):
-    doc = _load_json(config_path)
-    _check_keys(doc, {"sweep"}, {"sweep"}, "config")
-    if not isinstance(doc["sweep"], list):
-        raise ConfigError("sweep must be a list")
-
+    doc = _checked(_load_json(config_path), {"sweep": list}, {"sweep"},
+                   "config")
     # As in cmd_transients, every row is checked before the output
     # directory is made, so a bad value leaves nothing behind.
-    configs = []
-    for i, row in enumerate(doc["sweep"]):
-        _check_keys(row, _FMC_ROW_KEYS, {"n"}, f"sweep[{i}]")
-        try:
-            configs.append(memory.FmcConfig(
-                n=int(row["n"]),
-                d=float(row.get("d", 0.0)),
-                alpha=float(row.get("alpha", 1.0)),
-                beta=float(row.get("beta", 0.0)),
-                eps=float(row.get("eps", 1.0)),
-                k_max=int(row.get("k_max", 0)),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep[{i}]: {exc}")
+    configs = [_from_doc(memory.FmcConfig, row, f"sweep[{i}]")
+               for i, row in enumerate(doc["sweep"])]
 
     os.makedirs(out_dir, exist_ok=True)
     summary = []
@@ -211,34 +223,25 @@ def cmd_fmc(config_path, out_dir):
 # --- transients ---------------------------------------------------------------
 
 def cmd_transients(config_path, out_dir, seed_override):
-    doc = _load_json(config_path)
-    _check_keys(doc, {"configs", "n_samples", "t_max", "seed"},
-                {"configs"}, "config")
-    if not isinstance(doc["configs"], list):
-        raise ConfigError("configs must be a list")
-    seed = _seed(doc, seed_override)
-    try:
-        n_samples = int(doc.get("n_samples", 1000))
-        t_max = None if doc.get("t_max") is None else int(doc["t_max"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}")
+    doc = _checked(_load_json(config_path),
+                   {"configs": list, "n_samples": int,
+                    "t_max": typing.Optional[int], "seed": int},
+                   {"configs"}, "config")
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
 
     # Every row runs before the output directory is made, so a bad value
     # in any row exits 1 and leaves nothing behind.
     results = []
     for i, row in enumerate(doc["configs"]):
-        _check_keys(row, {"n", "d", "alpha", "beta"}, {"n"}, f"configs[{i}]")
+        where = f"configs[{i}]"
+        cfg = _from_doc(memory.FmcConfig, row, where,
+                        keys={"n", "d", "alpha", "beta"})
         try:
-            cfg = memory.FmcConfig(
-                n=int(row["n"]),
-                d=float(row.get("d", 0.0)),
-                alpha=float(row.get("alpha", 1.0)),
-                beta=float(row.get("beta", 0.0)),
-            )
             results.append(memory.transient_ensemble(
-                cfg, n_samples=n_samples, t_max=t_max, rng_seed=seed))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"configs[{i}]: {exc}")
+                cfg, n_samples=doc.get("n_samples", 1000),
+                t_max=doc.get("t_max"), rng_seed=seed))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
     for i, stats in enumerate(results):
@@ -263,21 +266,23 @@ def _prop_reports(doc):
     exit status: 2 at the first failed check, which ends the run."""
     files = []
     for i, row in enumerate(doc.get("prop2", [{"n": 6, "t_max": 12}])):
-        _check_keys(row, {"n", "t_max"}, {"n", "t_max"}, f"prop2[{i}]")
+        row = _checked(row, {"n": int, "t_max": int}, {"n", "t_max"},
+                       f"prop2[{i}]")
         try:
-            report = propcheck.verify_prop2(int(row["n"]), int(row["t_max"]))
-        except (TypeError, ValueError) as exc:
+            report = propcheck.verify_prop2(row["n"], row["t_max"])
+        except ValueError as exc:
             raise ConfigError(f"prop2[{i}]: {exc}")
         files.append((f"prop2_{i:02d}.json", report.to_json() + "\n"))
         if not report.all_ok:
             return files, 2
 
     for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}])):
-        _check_keys(row, {"n", "alpha"}, {"n", "alpha"}, f"prop1[{i}]")
+        row = _checked(row, {"n": int, "alpha": float}, {"n", "alpha"},
+                       f"prop1[{i}]")
         try:
-            theta = memory.delay_line_theta(int(row["n"]), float(row["alpha"]))
+            theta = memory.delay_line_theta(row["n"], row["alpha"])
             rep = memory.prop1_bound_check(theta)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"prop1[{i}]: {exc}")
         except AssertionError:
             return files, 2
@@ -298,11 +303,8 @@ def _prop_reports(doc):
 
 
 def cmd_props(config_path, out_dir):
-    doc = _load_json(config_path)
-    _check_keys(doc, {"prop2", "prop1"}, set(), "config")
-    for key in ("prop2", "prop1"):
-        if not isinstance(doc.get(key, []), list):
-            raise ConfigError(f"{key} must be a list")
+    doc = _checked(_load_json(config_path), {"prop2": list, "prop1": list},
+                   set(), "config")
     # As in cmd_transients, a bad row exits 1 before anything is written.
     files, status = _prop_reports(doc)
     os.makedirs(out_dir, exist_ok=True)
@@ -320,11 +322,7 @@ def cmd_report(config_path, out_dir):
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {config_path}: {exc}")
     os.makedirs(out_dir, exist_ok=True)
-    report = analysis.connectivity_report(params)
-    analysis.write_report_json(
-        report, os.path.join(out_dir, "connectivity_report.json"))
-    analysis.write_profile_csv(
-        report, os.path.join(out_dir, "subdiag_profile.csv"))
+    _write_report(params, out_dir)
     return 0
 
 

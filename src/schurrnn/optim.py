@@ -9,7 +9,7 @@ normalization.
 """
 
 import csv
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -27,18 +27,6 @@ __all__ = [
     "write_log_csv",
     "LOG_COLUMNS",
 ]
-
-LOG_COLUMNS = [
-    "update",
-    "loss",
-    "task_loss",
-    "reg_loss",
-    "mean_gamma",
-    "t_fro",
-    "orth_err",
-    "grad_norm_total",
-]
-
 
 @dataclass
 class TrainConfig:
@@ -64,6 +52,8 @@ class TrainConfig:
             raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
         if self.gamma_mode == "clamped" and self.gamma_clamp <= 0:
             raise ValueError("gamma_clamp must be > 0")
+        if self.max_updates < 0 or self.log_every < 0:
+            raise ValueError("max_updates and log_every must be >= 0")
 
 
 def rmsprop_step(param, grad, state, lr, alpha, eps=1e-8):
@@ -93,6 +83,9 @@ class LogRecord:
     t_fro: float
     orth_err: float
     grad_norm_total: float
+
+
+LOG_COLUMNS = [f.name for f in fields(LogRecord)]
 
 
 @dataclass

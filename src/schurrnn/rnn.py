@@ -189,9 +189,12 @@ def _scored_rows(batch):
 
 def forward(model, batch):
     """Forward pass: hidden trace, softmax of the output head, and mean
-    cross entropy (nats) over the scored steps.  Raises
-    :class:`DivergenceError` on a gamma that is not > 0 or a non-finite
-    hidden state."""
+    cross entropy (nats) over the scored steps.  Raises ``ValueError`` on
+    a scored target outside [0, d_out), and :class:`DivergenceError` on a
+    gamma that is not > 0 or a non-finite hidden state."""
+    rows, tgt = _scored_rows(batch)
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= model.b_out.size):
+        raise ValueError(f"scored targets must lie in [0, {model.b_out.size})")
     vv, cache = _resolve_v(model)
     b, t_len, _ = batch.inputs.shape
     n = model.n
@@ -205,7 +208,6 @@ def forward(model, batch):
         raise DivergenceError(f"non-finite hidden state at step {bad}")
 
     # One (T*B, d_out) buffer goes from logits to probabilities in place.
-    rows, tgt = _scored_rows(batch)
     probs = h[1:].reshape(-1, n) @ model.w_out.T
     probs += model.b_out
     probs -= probs.max(axis=1, keepdims=True)

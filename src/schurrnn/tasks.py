@@ -53,9 +53,7 @@ class CopyTaskSpec:
 
 
 def _one_hot(ids, depth):
-    out = np.zeros(ids.shape + (depth,))
-    np.put_along_axis(out, ids[..., None], 1.0, axis=-1)
-    return out
+    return np.eye(depth)[ids]
 
 
 def copy_batch(spec, rng=None):
@@ -154,28 +152,19 @@ class _CharLmStream:
         self.offsets = np.zeros(spec.batch_size, dtype=np.int64)
         self.vocab_size = spec.vocab_size
 
-    def lane_slice(self, lane):
-        return self.spec.ids[lane * self.span : (lane + 1) * self.span + 1]
-
     def __iter__(self):
         return self
 
     def __next__(self):
-        spec = self.spec
-        w, b = spec.window, spec.batch_size
-        inputs = np.empty((b, w), dtype=np.int64)
-        targets = np.empty((b, w), dtype=np.int64)
-        for lane in range(b):
-            lane_ids = self.lane_slice(lane)
-            start = self.offsets[lane]
-            if start + w + 1 > len(lane_ids):
-                start = 0
-            inputs[lane] = lane_ids[start : start + w]
-            targets[lane] = lane_ids[start + 1 : start + w + 1]
-            self.offsets[lane] = start + w
+        w, b = self.spec.window, self.spec.batch_size
+        # A lane wraps when its next window would run past its span + 1 ids.
+        starts = np.where(self.offsets + w > self.span, 0, self.offsets)
+        ids = self.spec.ids[(np.arange(b) * self.span + starts)[:, None]
+                            + np.arange(w + 1)]
+        self.offsets = starts + w
         return SequenceBatch(
-            inputs=_one_hot(inputs, self.vocab_size),
-            targets=targets,
+            inputs=_one_hot(ids[:, :-1], self.vocab_size),
+            targets=ids[:, 1:],
             score_mask=np.ones((b, w), dtype=bool),
         )
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from schurrnn import cli
 from schurrnn.schur import init_params, save_checkpoint
 
+ROOT = Path(__file__).resolve().parents[1]
 SWEEP = "src/schurrnn/data/fmc_sweep_sm.json"
 
 
@@ -81,8 +85,15 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"task": {"kind": "copy", "delay": 0}},
     {"model": {"n": 8, "cell_kind": "bogus"}},
     {"seed": "abc"},
+    {"train": {"batch_size": 4.5}},
+    {"train": {"max_updates": 2.5}},
+    {"train": {"log_every": "1"}},
+    {"train": {"max_updates": -3}},
+    {"train": {"log_every": -1}},
+    {"train": {"max_updates": True}},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
-        "seed"])
+        "seed", "batch_size_float", "max_updates_float", "log_every_string",
+        "max_updates_negative", "log_every_negative", "max_updates_bool"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     out = tmp_path / "o"
     code = cli.main(["train", "--config", train_config(tmp_path, **over),
@@ -111,9 +122,14 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("props", {**PROPS, "prop2": [{"n": 4, "t_max": 0}]}),
     ("fmc", {"sweep": [{"n": 4}, {"n": 4, "k_max": -5}]}),
     ("fmc", {"sweep": [{"n": 4}, {"n": None}]}),
+    ("fmc", {"sweep": [{"n": 4.0}]}),
+    ("fmc", {"sweep": [{"n": "4"}]}),
+    ("fmc", {"sweep": [{"n": 4, "k_max": 2.5}]}),
+    ("transients", {**TRANSIENTS, "n_samples": 2.5}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
-        "fmc_k_max", "fmc_n_null"])
+        "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
+        "fmc_k_max_float", "n_samples_float"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
     code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
@@ -121,6 +137,25 @@ def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_corpus_not_a_string_exit_1(tmp_path):
+    # open(0) would read stdin, so this runs in a child process with text
+    # piped in, not in pytest's own process.
+    path = train_config(tmp_path,
+                        task={"kind": "char_lm", "corpus": 0, "window": 8},
+                        train={"max_updates": 2, "batch_size": 2})
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurrnn.cli", "train", "--config", path,
+         "--out", str(out)],
+        input="the quick brown fox jumps over the lazy dog\n" * 10,
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -247,6 +282,25 @@ def test_transients_deterministic_bytes(tmp_path):
     b1 = (out1 / "transients_00.csv").read_bytes()
     assert b1 == (out2 / "transients_00.csv").read_bytes()
     assert len(b1) > 0
+
+
+CONFIGS = sorted(ROOT.glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_runs(tmp_path, monkeypatch, path):
+    # corpus paths in the shipped configs are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    doc = json.loads(path.read_text())
+    out = tmp_path / "out"
+    if "task" in doc:
+        doc["train"]["max_updates"] = 0
+        config = write_json(tmp_path / path.name, doc)
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        assert (out / "checkpoint.json").exists()
+    else:
+        assert cli.main([path.stem, "--config", str(path),
+                         "--out", str(out)]) == 0
 
 
 def test_report_on_init_checkpoint(tmp_path):

@@ -150,6 +150,15 @@ def test_head_ignores_targets_at_unscored_steps():
         assert np.array_equal(getattr(g_v, name), getattr(g_b, name)), name
 
 
+@pytest.mark.parametrize("target", [-1, 5])
+def test_head_rejects_scored_target_out_of_range(target):
+    model = init_model(8, 3, 5, seed=0)
+    batch = random_batch(4, 6, 3, 5, seed=4)
+    batch.targets[2, 3] = target
+    with pytest.raises(ValueError, match="scored targets"):
+        forward(model, batch)
+
+
 def test_head_large_output_bias_stays_finite():
     model = init_model(8, 3, 5, seed=0)
     model.b_out[2] = 1e3

@@ -130,6 +130,20 @@ def test_char_lm_lane_partition_reconstructs_corpus():
     assert np.array_equal(recon, original)
 
 
+@pytest.mark.parametrize("window,batch_size", [(37, 5), (163, 4)])
+def test_char_lm_lanes_wrap_to_their_start(window, batch_size):
+    # Batch span // window is the first whose window would run past the
+    # lane, so every lane restarts at its first id.  At (163, 4) the
+    # windows tile the 2445-id lanes exactly, so the batch before it is
+    # the lane's last full window, not an early wrap.
+    stream = char_lm_stream(CharLmSpec(CORPUS, window=window,
+                                       batch_size=batch_size))
+    batches = [next(stream) for _ in range(stream.span // window + 1)]
+    assert np.array_equal(batches[-1].inputs, batches[0].inputs)
+    assert np.array_equal(batches[-1].targets, batches[0].targets)
+    assert not np.array_equal(batches[-2].targets, batches[0].targets)
+
+
 def test_char_lm_carry_flag_and_determinism():
     spec = CharLmSpec(CORPUS, window=30, batch_size=3)
     s1 = char_lm_stream(spec)
