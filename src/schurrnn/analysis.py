@@ -48,7 +48,8 @@ def connectivity_report(p):
     """Diagnostics of the assembled connectivity.  The sub-diagonal profile
     and norms are measured on Theta (the Schur form); the top singular
     value on V itself."""
-    v, (_, theta, _, _) = assemble_v(p)
+    v, cache = assemble_v(p)
+    theta = cache.theta
     n = p.n
 
     angles = np.mod(p.theta, 2.0 * np.pi)

@@ -174,7 +174,7 @@ def train_loop(model, stream, config):
 
         if config.log_every and update % config.log_every == 0:
             if model.cell_kind == "schur":
-                big_p = fwd.schur_cache[0]
+                big_p = fwd.schur_cache.p
                 orth_err = float(np.linalg.norm(big_p.T @ big_p - np.eye(model.n)))
                 mean_gamma = float(np.mean(model.schur.gamma))
                 t_fro = float(np.linalg.norm(model.schur.t_lower))

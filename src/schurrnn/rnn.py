@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import schur as schur_mod
-from .schur import DivergenceError, SchurParamGrads, SchurParams
+from .schur import DivergenceError, SchurCache, SchurParamGrads, SchurParams
 
 __all__ = [
     "RnnModel",
@@ -137,7 +137,7 @@ class ForwardResult:
     loss: float
     final_hidden: np.ndarray    # (B, n)
     v: np.ndarray
-    schur_cache: Optional[tuple] = None
+    schur_cache: Optional[SchurCache] = None
     n_scored: int = 0
 
 

@@ -9,11 +9,13 @@ eigenvalue moduli and non-normal structure are controlled independently.
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DivergenceError",
+    "SchurCache",
     "SchurParams",
     "SchurParamGrads",
     "assemble_theta",
@@ -115,6 +117,19 @@ def assemble_theta(p):
     return theta
 
 
+class SchurCache(NamedTuple):
+    """What :func:`assemble_v` forms and :func:`backward_v` reuses:
+    P = exp(B), Theta, the eigenvectors Y and singular values a of B
+    (B^T B = Y diag(a^2) Y^T, a ascending), B Y and P Theta."""
+
+    p: np.ndarray
+    theta: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    by: np.ndarray
+    p_theta: np.ndarray
+
+
 def _guarded_div(num, den, at_zero):
     """num / den, with ``at_zero`` (the limit) where den is exactly 0."""
     return np.divide(num, den, out=np.full_like(num, at_zero),
@@ -127,25 +142,32 @@ def assemble_v(p):
     B is skew, so B^2 = -B^T B and exp(B) = cos|B| + B sinc|B| with
     |B| = (B^T B)^(1/2).  One real symmetric eigendecomposition
     B^T B = Y diag(a^2) Y^T gives P = (Y cos a + (B Y) sinc a) Y^T, where
-    sinc 0 = 1.  The cache (P, Theta, Y, a) is consumed by
-    :func:`backward_v`.
+    sinc 0 = 1.  The :class:`SchurCache` is consumed by :func:`backward_v`.
     """
     b = p.b_skew
     lam, y = np.linalg.eigh(b.T @ b)
     a = np.sqrt(np.maximum(lam, 0.0))
-    big_p = (y * np.cos(a) + (b @ y) * _guarded_div(np.sin(a), a, 1.0)) @ y.T
+    by = b @ y
+    big_p = (y * np.cos(a) + by * _guarded_div(np.sin(a), a, 1.0)) @ y.T
     theta = assemble_theta(p)
-    v = big_p @ theta @ big_p.T
-    return v, (big_p, theta, y, a)
+    p_theta = big_p @ theta
+    v = p_theta @ big_p.T
+    return v, SchurCache(big_p, theta, y, a, by, p_theta)
+
+
+def _pairwise(f, g):
+    """f (m x m), one value per pair of rows and columns, times g (n x n)
+    elementwise, with n = 2m: (f expanded to 2x2 blocks) o g."""
+    m = f.shape[0]
+    return (g.reshape(m, 2, m, 2) * f[:, None, :, None]).reshape(g.shape)
 
 
 def backward_v(p, grad_v, cache):
     """Map a loss gradient on V back to gradients on the Schur parameters.
 
-    ``cache`` is the (P, Theta, Y, a) tuple returned by
-    :func:`assemble_v`.  The b_skew gradient is expressed on the
-    independent lower-half entries and mirrored, so it is itself
-    skew-symmetric.
+    ``cache`` is the :class:`SchurCache` returned by :func:`assemble_v`.
+    The b_skew gradient is expressed on the independent lower-half entries
+    and mirrored, so it is itself skew-symmetric.
 
     The pullback through P = exp(B) is the adjoint of the Frechet
     derivative, L*(G) = int_0^1 e^{-sB} G e^{-(1-s)B} ds.  In the basis Y,
@@ -162,15 +184,24 @@ def backward_v(p, grad_v, cache):
     W = K (F2 o (G^ + G^T)).  It is formed as X - X^T with
     X = Y (F1 o G^ + K ((F4 o G^) K - F2 o (G^ + G^T))) Y^T, which is
     exactly skew.  Equal and zero a need only the guarded divisions.
+
+    For skew B the eigenvalues of B^T B come in equal pairs (+-i omega),
+    and ``eigh`` sorts them, so a_{2i} = a_{2i+1} to rounding.  F1, F2 and
+    F4 are therefore built on the n/2 pair values a_{2i} and applied to
+    G^ in 2x2 blocks.  K stays dense, so no separation between pairs is
+    assumed: nearly coincident pairs are handled alike.  K = Y^T (B Y) and grad_p = (G P) Theta^T + G^T (P Theta) reuse
+    the cached B Y and P Theta, and G P serves grad_theta as well: the
+    pullback takes 11 n x n GEMMs.
     """
-    big_p, theta, y, a = cache
     n = p.n
     grad_v = np.asarray(grad_v, dtype=np.float64)
     if grad_v.shape != (n, n):
         raise ValueError(f"grad_v shape {grad_v.shape} does not match n={n}")
 
-    # dL/dTheta = P^T G P
-    grad_theta = big_p.T @ grad_v @ big_p
+    # dL/dTheta = P^T G P and dL/dP = G P Theta^T + G^T P Theta
+    gp = grad_v @ cache.p
+    grad_theta = cache.p.T @ gp
+    grad_p = gp @ cache.theta.T + grad_v.T @ cache.p_theta
 
     # Block i is gamma_i [[c, -s], [s, c]] on the block diagonal of Theta.
     diag = np.diagonal(grad_theta)
@@ -180,12 +211,16 @@ def backward_v(p, grad_v, cache):
     c, s = np.cos(p.theta), np.sin(p.theta)
     d_gamma = c * (g00 + g11) + s * (g10 - g01)
     d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
+    # t_lower owns the strictly-lower entries outside the blocks.
+    grad_t = np.tril(grad_theta, -1)
+    odd = np.arange(1, n, 2)
+    grad_t[odd, odd - 1] = 0.0
 
-    # dL/dP, then pull back through the exponential map.  cos h+-, sin h+
-    # come from the half-angle outer products; sin h- is taken directly,
-    # since the product form cancels where a_j is close to a_k.
-    grad_p = grad_v @ big_p @ theta.T + grad_v.T @ big_p @ theta
-    half = 0.5 * a
+    # Pull dL/dP back through the exponential map.  cos h+-, sin h+ come
+    # from the half-angle outer products; sin h- is taken directly, since
+    # the product form cancels where a_j is close to a_k.
+    pair_a = cache.a[0::2]
+    half = 0.5 * pair_a
     ch, sh = np.cos(half), np.sin(half)
     cc = np.multiply.outer(ch, ch)
     ss = np.multiply.outer(sh, sh)
@@ -198,16 +233,18 @@ def backward_v(p, grad_v, cache):
     f1 = 0.5 * (sinc_plus * cos_minus + cos_plus * sinc_minus)
     f2 = 0.5 * sinc_plus * sinc_minus
     f4 = _guarded_div(0.5 * (sinc_plus * cos_minus - cos_plus * sinc_minus),
-                      np.multiply.outer(a, a), 1.0 / 6.0)
-    k = y.T @ (p.b_skew @ y)
+                      np.multiply.outer(pair_a, pair_a), 1.0 / 6.0)
+    y = cache.y
+    k = y.T @ cache.by
     g_hat = y.T @ grad_p @ y
-    x = y @ (f1 * g_hat + k @ ((f4 * g_hat) @ k - f2 * (g_hat + g_hat.T))) @ y.T
+    inner = _pairwise(f4, g_hat) @ k - _pairwise(f2, g_hat + g_hat.T)
+    x = y @ (_pairwise(f1, g_hat) + k @ inner) @ y.T
 
     return SchurParamGrads(
         b_skew=x - x.T,
         gamma=d_gamma,
         theta=d_theta,
-        t_lower=np.where(t_lower_mask(n), grad_theta, 0.0),
+        t_lower=grad_t,
     )
 
 

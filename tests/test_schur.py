@@ -63,7 +63,8 @@ def test_param_validation():
 
 def test_assemble_v_structure():
     p = random_params(8, seed=0)
-    v, (big_p, theta, _, _) = assemble_v(p)
+    v, cache = assemble_v(p)
+    big_p, theta = cache.p, cache.theta
     assert np.linalg.norm(big_p.T @ big_p - np.eye(8)) < 1e-13
     assert np.allclose(v, big_p @ theta @ big_p.T)
     # Theta carries the blocks and the strictly-lower part
@@ -147,7 +148,7 @@ def test_backward_v_block_grads_match_per_block_loop():
     n = 16
     p = random_params(n, seed=8)
     _, cache = assemble_v(p)
-    big_p, _, _, _ = cache
+    big_p = cache.p
     grad_v = np.random.default_rng(9).normal(size=(n, n))
     grads = backward_v(p, grad_v, cache)
     grad_theta = big_p.T @ grad_v @ big_p
@@ -187,14 +188,14 @@ def _oracle_generator(n, case):
 @pytest.mark.parametrize("case", ["henaff", "cayley", "random_orth", "zero",
                                   "repeated_blocks", "large_norm", "tiny",
                                   "near_repeated", "zero_block"])
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [4, 6, 64, 128])
 def test_exponential_map_and_pullback_match_scipy(n, case):
     """P and the b_skew gradient against scipy's Pade expm and the Frechet
     adjoint L(B^T, G_P), independent of the eigendecomposition."""
     p = random_params(n, seed=6)
     p.b_skew = _oracle_generator(n, case)
     _, cache = assemble_v(p)
-    big_p, theta, _, _ = cache
+    big_p, theta = cache.p, cache.theta
     p_ref = expm(p.b_skew)
     assert np.linalg.norm(big_p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
 
@@ -205,15 +206,19 @@ def test_exponential_map_and_pullback_match_scipy(n, case):
     ref = adj - adj.T
     assert np.linalg.norm(grads.b_skew - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    # backward_v builds its divided differences on the pairs (a_0, a_1),
+    # (a_2, a_3), ...: the sorted eigenvalues of B^T B agree pairwise.
+    lam = cache.a ** 2
+    assert np.all(np.abs(lam[0::2] - lam[1::2]) <= 1e-13 * np.max(lam))
+
 
 def test_schur_layer_is_real_float64():
     """The exponential map and its pullback run in real arithmetic: every
     cached array and every gradient field is real float64."""
     p = random_params(16, seed=4)
     _, cache = assemble_v(p)
-    assert len(cache) == 4
-    for arr in cache:
-        assert arr.dtype == np.float64
+    for name in cache._fields:
+        assert getattr(cache, name).dtype == np.float64, name
     grad_v = np.random.default_rng(5).normal(size=(16, 16))
     grads = backward_v(p, grad_v, cache)
     for field in ("b_skew", "gamma", "theta", "t_lower"):
