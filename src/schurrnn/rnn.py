@@ -29,13 +29,13 @@ __all__ = [
 ]
 
 
-def modrelu(z, b):
+def modrelu(z, b, out=None):
     """modReLU on real inputs: (|z| + b) * sign(z) where |z| + b > 0,
-    else 0; sign(0) = 0.  Identity when b = 0."""
-    z = np.asarray(z, dtype=np.float64)
-    # ``maximum`` and the final product propagate NaN, so a NaN
+    else 0; sign(0) = 0.  Identity when b = 0.  Written into ``out``
+    when it is given."""
+    # ``maximum``, ``sign`` and the product propagate NaN, so a NaN
     # pre-activation (or bias) stays NaN.
-    return np.copysign(np.maximum(np.abs(z) + b, 0.0), z) * (z != 0.0)
+    return np.multiply(np.maximum(np.abs(z) + b, 0.0), np.sign(z), out=out)
 
 
 # Time-major layout throughout the recurrence: ``pre`` and ``dpre`` are
@@ -48,10 +48,14 @@ def rnn_forward(v, pre, bias, h0):
     t_len, batch, n = pre.shape
     h = np.empty((t_len + 1, batch, n))
     h[0] = h0
-    vt = v.T
+    # A C-ordered Vᵀ keeps the step GEMM off BLAS's transposed-operand
+    # path, and a (B, n) bias keeps the modReLU add from broadcasting.
+    vt = np.ascontiguousarray(v.T)
+    bias = np.broadcast_to(bias, (batch, n)).copy()
     for t in range(1, t_len + 1):
-        z = h[t - 1] @ vt + pre[t - 1]
-        h[t] = modrelu(z, bias)
+        z = h[t - 1] @ vt
+        z += pre[t - 1]
+        modrelu(z, bias, out=h[t])
     return h
 
 
@@ -74,7 +78,8 @@ def rnn_backward(v, h, gout):
         dh = dh + gout[t - 1]
         dz = np.where(alive[t - 1], dh, 0.0)
         dpre[t - 1] = dz
-        dh = dz @ v
+        if t > 1:  # the gradient at h_0 is not returned
+            dh = dz @ v
 
     dv = dpre.reshape(-1, n).T @ h[:-1].reshape(-1, n)
     dbias = np.sum(dpre * np.sign(h[1:]), axis=(0, 1))

@@ -35,10 +35,14 @@ def test_modrelu_matches_select_oracle():
     z = np.array([0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0,
                   np.inf, -np.inf, np.nan])[:, None]
     b = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, np.nan, np.inf])
+    buf = np.full((z.size, b.size), 7.0)
     with np.errstate(invalid="ignore"):
         got = modrelu(z, b)
+        got_out = modrelu(z, b, out=buf)
         ref = modrelu_oracle(z, b)
     assert np.array_equal(got, ref, equal_nan=True)
+    assert got_out is buf
+    assert np.array_equal(buf, ref, equal_nan=True)
 
 
 def test_modrelu_cases():
@@ -264,14 +268,46 @@ def backward_per_step(v, h, gout):
     return dv, dbias, dpre
 
 
+def forward_per_step(v, pre, bias, h0):
+    """Reference recurrence: a transposed-operand GEMM and the select form
+    of modReLU at every step."""
+    h = [h0]
+    for t in range(pre.shape[0]):
+        h.append(modrelu_oracle(h[-1] @ v.T + pre[t], bias))
+    return np.stack(h)
+
+
+@pytest.mark.parametrize("b,t_len,n", [
+    (10, 70, 128),   # copy task
+    (8, 150, 64),    # char-LM
+])
+def test_rnn_forward_matches_per_step_oracle(b, t_len, n):
+    """The recurrence agrees with the per-step select-form oracle, with a
+    bias that cuts some units and a carried initial state."""
+    rng = np.random.default_rng(13)
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    pre = rng.normal(size=(t_len, b, n))
+    bias = rng.normal(size=n) * 0.5
+    h0 = rng.normal(size=(b, n))
+    h = rnn_forward(v, pre, bias, h0)
+    ref = forward_per_step(v, pre, bias, h0)
+    assert np.any(ref[1:] == 0.0)
+    assert np.array_equal(h == 0.0, ref == 0.0)
+    assert_rel_close(h, ref, "hidden")
+
+
 @pytest.mark.parametrize("zero_bias", [False, True])
-def test_rnn_backward_matches_per_step_accumulation(zero_bias):
+@pytest.mark.parametrize("n,t_len,b", [
+    (32, 40, 6),
+    (128, 70, 10),   # copy task
+    (64, 150, 8),    # char-LM
+])
+def test_rnn_backward_matches_per_step_accumulation(n, t_len, b, zero_bias):
     """The mask taken once before the sweep gives the same pre-activation
     gradients as masking step by step, and the after-sweep contraction for
     dV and dbias sums the same terms as a per-step accumulation, only in
     another order.  At zero bias modReLU is the identity."""
     rng = np.random.default_rng(12)
-    n, t_len, b = 32, 40, 6
     v = rng.normal(0, 1 / np.sqrt(n), (n, n))
     bias = rng.normal(size=n) * 0.5  # cuts some units, so the mask matters
     if zero_bias:
