@@ -1,11 +1,13 @@
-"""RMSprop training with a Stiefel-manifold update for the orthogonal
-basis.
+"""RMSprop training over one table of parameter tensors.
 
-The skew-symmetric generator of P is updated with its own learning rate and
-P is re-exponentiated at the next assembly, so the basis never leaves the
-manifold (up to the accuracy of the matrix exponential).  Regularizer
-gradients are folded into the task gradients before the RMSprop
-normalization.
+The skew-symmetric generator B of the orthogonal basis is one more row of
+the table, with its own learning rate.  Its gradient from
+:func:`schurrnn.schur.backward_v` is exactly skew, and RMSprop keeps an
+exactly skew B exactly skew (the state is symmetric and every update is
+elementwise), so P = exp(B), re-exponentiated at the next assembly, never
+leaves the manifold (up to the accuracy of the matrix exponential).
+Regularizer gradients are folded into the task gradients before the
+RMSprop normalization.
 """
 
 import csv
@@ -22,7 +24,6 @@ __all__ = [
     "DivergenceError",
     "LogRecord",
     "rmsprop_step",
-    "stiefel_step",
     "train_loop",
     "write_log_csv",
     "LOG_COLUMNS",
@@ -61,16 +62,6 @@ def rmsprop_step(param, grad, state, lr, alpha, eps=1e-8):
     state = alpha * state + (1.0 - alpha) * grad * grad
     param = param - lr * grad / (np.sqrt(state) + eps)
     return param, state
-
-
-def stiefel_step(b_skew, grad_b, state, lr_orth, alpha, eps=1e-8):
-    """RMSprop on the skew-symmetric generator.  The gradient is projected
-    to the skew subspace and the result is re-mirrored from its lower half,
-    so skew symmetry is exact regardless of rounding."""
-    g = 0.5 * (grad_b - grad_b.T)
-    b_new, state = rmsprop_step(b_skew, g, state, lr_orth, alpha, eps)
-    lower = np.tril(b_new, -1)
-    return lower - lower.T, state
 
 
 @dataclass
@@ -136,10 +127,10 @@ def train_loop(model, stream, config):
 
         task_loss = fwd.loss
         reg_loss = 0.0
-        # (owner, attribute, gradient) for every tensor RMSprop updates.
-        table = [(model, name, getattr(grads, name))
+        # (owner, attribute, gradient, learning rate) for every tensor
+        # RMSprop updates.
+        table = [(model, name, getattr(grads, name), config.lr)
                  for name in ("u_in", "b_hidden", "w_out", "b_out")]
-        grad_list = [g for _, _, g in table]
 
         if model.cell_kind == "schur":
             p = model.schur
@@ -150,22 +141,17 @@ def train_loop(model, stream, config):
             sg.t_lower = sg.t_lower + g_t_reg
             if not clamped:
                 sg.gamma = sg.gamma + g_gamma_reg
-                table.append((p, "gamma", sg.gamma))
-                grad_list.append(sg.gamma)
-            table += [(p, "theta", sg.theta), (p, "t_lower", sg.t_lower)]
-            grad_list += [sg.theta, sg.t_lower, sg.b_skew]
-            p.b_skew, rms["b_skew"] = stiefel_step(
-                p.b_skew, sg.b_skew, rms.get("b_skew", 0.0),
-                config.lr_orth, config.rms_alpha)
+                table.append((p, "gamma", sg.gamma, config.lr))
+            table += [(p, "theta", sg.theta, config.lr),
+                      (p, "t_lower", sg.t_lower, config.lr),
+                      (p, "b_skew", sg.b_skew, config.lr_orth)]
         else:
-            table.append((model, "v_dense", grads.v))
-            grad_list.append(grads.v)
+            table.append((model, "v_dense", grads.v, config.lr))
 
-        for owner, name, grad in table:
-            cur = getattr(owner, name)
+        for owner, name, grad, lr in table:
             new, rms[name] = rmsprop_step(
-                cur, grad, rms.get(name, 0.0),
-                config.lr, config.rms_alpha)
+                getattr(owner, name), grad, rms.get(name, 0.0),
+                lr, config.rms_alpha)
             setattr(owner, name, new)
 
         total = task_loss + reg_loss
@@ -190,7 +176,7 @@ def train_loop(model, stream, config):
                 mean_gamma=mean_gamma,
                 t_fro=t_fro,
                 orth_err=orth_err,
-                grad_norm_total=_grad_norm(grad_list),
+                grad_norm_total=_grad_norm(g for _, _, g, _ in table),
             )
             records.append(rec)
 

@@ -38,52 +38,52 @@ def modrelu(z, b, out=None):
     return np.multiply(np.maximum(np.abs(z) + b, 0.0), np.sign(z), out=out)
 
 
-# Time-major layout throughout the recurrence: ``pre`` and ``dpre`` are
-# (T, B, n), the hidden trace ``h`` is (T+1, B, n) with ``h[0]`` the
-# initial state.
+# Time-major layout throughout the recurrence: the hidden trace ``h`` is
+# (T+1, B, n) with ``h[0]`` the initial state, and ``dpre`` is (T, B, n).
+# Each direction owns one trace buffer: ``h[1:]`` holds the input
+# projection pre_t until the forward sweep overwrites it with the hidden
+# states, and ``dpre`` starts as the head gradient at h_t and is swept into
+# the gradient at the pre-activations.
 
-def rnn_forward(v, pre, bias, h0):
-    """Run the recurrence h_t = modrelu(V h_{t-1} + pre_t) and return the
-    full trace (T+1, B, n)."""
-    t_len, batch, n = pre.shape
-    h = np.empty((t_len + 1, batch, n))
-    h[0] = h0
+def rnn_forward(v, h, bias):
+    """Run the recurrence h_t = modrelu(V h_{t-1} + pre_t) in place.
+
+    On entry ``h[0]`` is the initial state and ``h[t]`` the pre-activation
+    input pre_t; the sweep overwrites each ``h[t]``, t >= 1, with the
+    hidden state.  Returns ``h``."""
+    batch, n = h.shape[1], h.shape[2]
     # A C-ordered Vᵀ keeps the step GEMM off BLAS's transposed-operand
     # path, and a (B, n) bias keeps the modReLU add from broadcasting.
     vt = np.ascontiguousarray(v.T)
     bias = np.broadcast_to(bias, (batch, n)).copy()
-    for t in range(1, t_len + 1):
+    for t in range(1, h.shape[0]):
         z = h[t - 1] @ vt
-        z += pre[t - 1]
+        z += h[t]
         modrelu(z, bias, out=h[t])
     return h
 
 
-def rnn_backward(v, h, gout):
-    """Reverse sweep through the recurrence.
+def rnn_backward(v, h, dpre):
+    """Reverse sweep through the recurrence, in place.
 
-    ``gout[t-1]`` is the loss gradient injected at h_t by the output head.
-    Returns (dv, dbias, dpre) with dpre the gradient at the pre-activations.
-    The parameter gradients are one contraction over all steps after the
-    sweep.
+    On entry ``dpre[t-1]`` is the loss gradient injected at h_t by the
+    output head; the sweep overwrites it with the gradient at the
+    pre-activation pre_t.  Returns (dv, dbias), one contraction each over
+    all steps after the sweep.
     """
-    t_len = gout.shape[0]
-    batch, n = h.shape[1], h.shape[2]
-    dpre = np.empty((t_len, batch, n))
+    n = h.shape[2]
     # modReLU passes the gradient exactly where its output is nonzero.
-    alive = h[1:] != 0.0
-
-    dh = np.zeros((batch, n))
-    for t in range(t_len, 0, -1):
-        dh = dh + gout[t - 1]
-        dz = np.where(alive[t - 1], dh, 0.0)
-        dpre[t - 1] = dz
-        if t > 1:  # the gradient at h_0 is not returned
-            dh = dz @ v
+    dead = h[1:] == 0.0
+    np.copyto(dpre[-1], 0.0, where=dead[-1])
+    for t in range(dpre.shape[0] - 1, 0, -1):
+        dh = dpre[t] @ v
+        dpre[t - 1] += dh
+        np.copyto(dpre[t - 1], 0.0, where=dead[t - 1])
 
     dv = dpre.reshape(-1, n).T @ h[:-1].reshape(-1, n)
-    dbias = np.sum(dpre * np.sign(h[1:]), axis=(0, 1))
-    return dv, dbias, dpre
+    s = np.sign(h[1:])
+    s *= dpre
+    return dv, s.sum(axis=(0, 1))
 
 
 @dataclass
@@ -204,9 +204,11 @@ def forward(model, batch):
     b, t_len, _ = batch.inputs.shape
     n = model.n
 
-    pre = (_time_major_rows(batch.inputs) @ model.u_in.T).reshape(t_len, b, n)
-    h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
-    h = rnn_forward(vv, pre, model.b_hidden, h0)
+    h = np.empty((t_len + 1, b, n))
+    h[0] = batch.h0 if batch.h0 is not None else 0.0
+    np.matmul(_time_major_rows(batch.inputs), model.u_in.T,
+              out=h[1:].reshape(-1, n))
+    rnn_forward(vv, h, model.b_hidden)
 
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
@@ -254,9 +256,9 @@ def bptt(model, batch, fwd=None):
     n = model.n
     dw_out = dl.T @ h[1:].reshape(-1, n)
     db_out = dl.sum(axis=0)
-    gout = (dl @ model.w_out).reshape(t_len, b, n)
+    dpre = (dl @ model.w_out).reshape(t_len, b, n)
 
-    dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
+    dv, dbias = rnn_backward(fwd.v, h, dpre)
     du_in = dpre.reshape(-1, n).T @ _time_major_rows(batch.inputs)
 
     schur_grads = None

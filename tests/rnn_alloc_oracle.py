@@ -1,0 +1,95 @@
+"""The allocating formulation of the recurrence, kept as a bit-identity
+oracle for the in-place kernels of :mod:`schurrnn.rnn`.
+
+Here the input projection is its own ``pre`` array and the hidden trace a
+fresh one; the reverse sweep builds ``dh + gout`` and an ``np.where``
+mask at every step into a fresh ``dpre``; and dbias is the sum of a
+product of two temporaries.  The head is the same fused softmax
+cross-entropy as the library's.  Every operation rounds as the library's
+does (IEEE addition and multiplication commute), so the two must agree
+bit for bit.
+"""
+
+import numpy as np
+
+from schurrnn import schur
+from schurrnn.rnn import ForwardResult, ModelGrads, modrelu
+
+
+def rnn_forward(v, pre, bias, h0):
+    t_len, batch, n = pre.shape
+    h = np.empty((t_len + 1, batch, n))
+    h[0] = h0
+    vt = np.ascontiguousarray(v.T)
+    bias = np.broadcast_to(bias, (batch, n)).copy()
+    for t in range(1, t_len + 1):
+        z = h[t - 1] @ vt
+        z += pre[t - 1]
+        modrelu(z, bias, out=h[t])
+    return h
+
+
+def rnn_backward(v, h, gout):
+    t_len, batch, n = gout.shape
+    dpre = np.empty((t_len, batch, n))
+    alive = h[1:] != 0.0
+    dh = np.zeros((batch, n))
+    for t in range(t_len, 0, -1):
+        dh = dh + gout[t - 1]
+        dz = np.where(alive[t - 1], dh, 0.0)
+        dpre[t - 1] = dz
+        if t > 1:
+            dh = dz @ v
+    dv = dpre.reshape(-1, n).T @ h[:-1].reshape(-1, n)
+    dbias = np.sum(dpre * np.sign(h[1:]), axis=(0, 1))
+    return dv, dbias, dpre
+
+
+def _rows(a):
+    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+
+
+def _scored(batch):
+    mask = batch.score_mask.T
+    return np.flatnonzero(mask), batch.targets.T[mask]
+
+
+def forward(model, batch):
+    v, cache = schur.assemble_v(model.schur)
+    rows, tgt = _scored(batch)
+    b, t_len, _ = batch.inputs.shape
+    n = model.n
+    pre = (_rows(batch.inputs) @ model.u_in.T).reshape(t_len, b, n)
+    h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
+    h = rnn_forward(v, pre, model.b_hidden, h0)
+
+    probs = h[1:].reshape(-1, n) @ model.w_out.T
+    probs += model.b_out
+    probs -= probs.max(axis=1, keepdims=True)
+    picked = probs[rows, tgt]
+    np.exp(probs, out=probs)
+    sums = probs.sum(axis=1, keepdims=True)
+    loss = float(np.sum(np.log(sums[rows, 0]) - picked) / max(rows.size, 1))
+    probs /= sums
+    return ForwardResult(probs=probs, hidden=h, loss=loss,
+                         final_hidden=h[-1].copy(), v=v, schur_cache=cache,
+                         n_scored=rows.size)
+
+
+def bptt(model, batch, fwd):
+    rows, tgt = _scored(batch)
+    scale = 1.0 / max(fwd.n_scored, 1)
+    dl = fwd.probs * (batch.score_mask.T.reshape(-1, 1) * scale)
+    dl[rows, tgt] -= scale
+
+    h = fwd.hidden
+    b, t_len = batch.score_mask.shape
+    n = model.n
+    dw_out = dl.T @ h[1:].reshape(-1, n)
+    db_out = dl.sum(axis=0)
+    gout = (dl @ model.w_out).reshape(t_len, b, n)
+    dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
+    du_in = dpre.reshape(-1, n).T @ _rows(batch.inputs)
+    return ModelGrads(u_in=du_in, b_hidden=dbias, w_out=dw_out, b_out=db_out,
+                      v=dv, schur=schur.backward_v(model.schur, dv,
+                                                   fwd.schur_cache))

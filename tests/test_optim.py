@@ -9,11 +9,11 @@ from schurrnn.optim import (
     DivergenceError,
     TrainConfig,
     rmsprop_step,
-    stiefel_step,
     train_loop,
     write_log_csv,
 )
 from schurrnn.rnn import init_model
+from schurrnn.schur import assemble_v, backward_v, init_params, t_lower_mask
 
 
 def test_rmsprop_hand_value():
@@ -33,16 +33,48 @@ def test_rmsprop_state_accumulation():
     assert abs(s[0] - 3.5) < 1e-14
 
 
-def test_stiefel_step_preserves_skewness():
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("n", [4, 64, 128])
+def test_backward_v_b_skew_gradient_exactly_skew(n):
+    """The pullback returns the generator's gradient as X - Xᵀ, exactly
+    skew, which is what lets plain RMSprop step B."""
+    rng = np.random.default_rng(n)
+    params = init_params(n, scheme="random_orth", rng_seed=n)
+    params.t_lower = rng.normal(size=(n, n)) * t_lower_mask(n)
+    _, cache = assemble_v(params)
+    g = backward_v(params, rng.normal(size=(n, n)), cache).b_skew
+    assert np.any(g != 0.0)
+    assert np.array_equal(g, -g.T)
+
+
+def test_train_loop_keeps_b_skew_exactly_skew():
+    """RMSprop of an exactly skew B with an exactly skew gradient keeps B
+    exactly skew at every update, so P = exp(B) stays orthogonal."""
+    class Checked:
+        def __init__(self, inner, params):
+            self.inner, self.params, self.updates = inner, params, 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            # called before every update, so B is checked after each one
+            b = self.params.b_skew
+            assert np.array_equal(b, -b.T), self.updates
+            self.updates += 1
+            return next(self.inner)
+
     n = 8
-    g = rng.normal(size=(n, n))
-    b = np.tril(g, -1) - np.tril(g, -1).T
-    state = np.zeros((n, n))
-    for i in range(1000):
-        grad = rng.normal(size=(n, n))  # arbitrary, not even skew
-        b, state = stiefel_step(b, grad, state, 1e-3, 0.9)
-        assert np.array_equal(b, -b.T)
+    spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
+    model = init_model(n, tasks.COPY_D_IN, tasks.COPY_D_OUT,
+                       scheme="random_orth", seed=0)
+    b_start = model.schur.b_skew.copy()
+    stream = Checked(tasks.copy_stream(spec), model.schur)
+    train_loop(model, stream, TrainConfig(max_updates=500, log_every=0,
+                                          lr_orth=1e-3))
+    b = model.schur.b_skew
+    assert stream.updates == 500
+    assert np.array_equal(b, -b.T)
+    assert np.linalg.norm(b - b_start) > 0.1
     from scipy.linalg import expm
     q = expm(b)
     assert np.linalg.norm(q.T @ q - np.eye(n)) < 1e-12

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rnn_alloc_oracle
 from schurrnn.rnn import (
     SequenceBatch,
     bptt,
@@ -251,6 +254,12 @@ def test_bptt_finite_differences(cell_kind):
             assert abs(num - grads.schur.b_skew[i, j]) <= 1e-5 * max(1.0, abs(num))
 
 
+def trace(pre, h0):
+    """A fresh (T+1, B, n) trace holding h0 and the pre-activations, for
+    :func:`rnn_forward` to overwrite."""
+    return np.concatenate([h0[None], pre])
+
+
 def backward_per_step(v, h, gout):
     """Reference sweep that masks each step's gradient with that step's
     output and accumulates dV and dbias step by step."""
@@ -289,7 +298,7 @@ def test_rnn_forward_matches_per_step_oracle(b, t_len, n):
     pre = rng.normal(size=(t_len, b, n))
     bias = rng.normal(size=n) * 0.5
     h0 = rng.normal(size=(b, n))
-    h = rnn_forward(v, pre, bias, h0)
+    h = rnn_forward(v, trace(pre, h0), bias)
     ref = forward_per_step(v, pre, bias, h0)
     assert np.any(ref[1:] == 0.0)
     assert np.array_equal(h == 0.0, ref == 0.0)
@@ -312,11 +321,12 @@ def test_rnn_backward_matches_per_step_accumulation(n, t_len, b, zero_bias):
     bias = rng.normal(size=n) * 0.5  # cuts some units, so the mask matters
     if zero_bias:
         bias[:] = 0.0
-    h = rnn_forward(v, rng.normal(size=(t_len, b, n)), bias,
-                    rng.normal(size=(b, n)))
+    h = rnn_forward(v, trace(rng.normal(size=(t_len, b, n)),
+                             rng.normal(size=(b, n))), bias)
     assert zero_bias or np.any(h[1:] == 0.0)
     gout = rng.normal(size=(t_len, b, n))
-    dv, dbias, dpre = rnn_backward(v, h, gout)
+    dpre = gout.copy()
+    dv, dbias = rnn_backward(v, h, dpre)
     ref_dv, ref_dbias, ref_dpre = backward_per_step(v, h, gout)
     assert np.array_equal(dpre, ref_dpre)
     assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
@@ -353,7 +363,7 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
 
     h0 = batch.h0 if carry else np.zeros((b, n))
     pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
-    h = rnn_forward(fwd.v, pre, model.b_hidden, h0)
+    h = rnn_forward(fwd.v, trace(pre, h0), model.b_hidden)
     logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
     mask = batch.score_mask
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -365,8 +375,8 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     onehot = np.eye(d_out)[batch.targets]
     dlogits = (p - onehot) * mask[..., None] / mask.sum()
     dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
-    gout = np.einsum("bto,on->tbn", dlogits, model.w_out)
-    dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
+    dpre = np.einsum("bto,on->tbn", dlogits, model.w_out)
+    dv, dbias = rnn_backward(fwd.v, h, dpre)
     du_in = np.einsum("tbn,btd->nd", dpre, batch.inputs)
     ref_schur = backward_v(model.schur, dv, fwd.schur_cache)
 
@@ -378,6 +388,68 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     for name in ("gamma", "theta", "t_lower", "b_skew"):
         assert_rel_close(getattr(grads.schur, name),
                          getattr(ref_schur, name), name)
+
+
+def carried_batch(b, t_len, n, d_in, d_out):
+    """A model whose hidden bias cuts some units, and a batch with a
+    carried h0 and a partial score mask."""
+    model = init_model(n, d_in, d_out, scheme="cayley", seed=3)
+    rng = np.random.default_rng(4)
+    model.b_hidden = rng.normal(size=n) * 0.1
+    model.b_out = rng.normal(size=d_out)
+    batch = random_batch(b, t_len, d_in, d_out, seed=5)
+    batch.h0 = rng.normal(size=(b, n))
+    batch.score_mask = rng.random((b, t_len)) < 0.6
+    return model, batch
+
+
+TRAINING_SHAPES = [
+    (10, 70, 128, 10, 9),    # copy task
+    (8, 150, 64, 56, 56),    # char-LM
+]
+
+
+@pytest.mark.parametrize("b,t_len,n,d_in,d_out", TRAINING_SHAPES)
+def test_in_place_recurrence_matches_allocating_oracle_bitwise(
+        b, t_len, n, d_in, d_out):
+    """Working in one trace buffer per direction changes no bit of the
+    forward pass or of any gradient against the allocating formulation."""
+    model, batch = carried_batch(b, t_len, n, d_in, d_out)
+    fwd = forward(model, batch)
+    grads = bptt(model, batch, fwd=fwd)
+    ref_fwd = rnn_alloc_oracle.forward(model, batch)
+    ref = rnn_alloc_oracle.bptt(model, batch, ref_fwd)
+
+    assert np.any(ref_fwd.hidden[1:] == 0.0)
+    assert np.array_equal(fwd.hidden, ref_fwd.hidden)
+    assert np.array_equal(fwd.final_hidden, ref_fwd.final_hidden)
+    assert np.array_equal(fwd.probs, ref_fwd.probs)
+    assert fwd.loss == ref_fwd.loss
+    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.array_equal(getattr(grads.schur, name),
+                              getattr(ref.schur, name)), name
+
+
+@pytest.mark.parametrize("b,t_len,n,d_in,d_out,budget", [
+    (10, 70, 128, 10, 9, 6.4),
+    (8, 150, 64, 56, 56, 5.85),
+])
+def test_bptt_allocation_budget(b, t_len, n, d_in, d_out, budget):
+    """Peak traced allocation of one ``bptt`` call, forward included, in
+    units of one (T, B, n) float64 trace.  The recurrence owns one trace
+    buffer per direction; a separate pre-activation array or head-gradient
+    array would add about one more unit."""
+    model, batch = carried_batch(b, t_len, n, d_in, d_out)
+    bptt(model, batch)  # warm up lazily allocated numpy and BLAS state
+    tracemalloc.start()
+    try:
+        bptt(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (t_len * b * n * 8) < budget
 
 
 def test_non_finite_hidden_raises():
