@@ -111,8 +111,10 @@ class RnnModel:
 
 @dataclass
 class SequenceBatch:
-    """Inputs (B, T, d_in), integer targets (B, T), and a boolean mask of
-    scored steps.  ``h0`` optionally carries hidden state across windows."""
+    """Inputs, integer targets (B, T), and a boolean mask of scored steps.
+    ``inputs`` is either (B, T) integer token ids, which select columns of
+    ``u_in``, or (B, T, d_in) float features.  ``h0`` optionally carries
+    hidden state across windows."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -120,7 +122,13 @@ class SequenceBatch:
     h0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        b, t, _ = self.inputs.shape
+        if self.inputs.ndim == 2:
+            if not np.issubdtype(self.inputs.dtype, np.integer):
+                raise ValueError("2-D inputs must be integer token ids")
+        elif self.inputs.ndim != 3:
+            raise ValueError("inputs must be (B, T) ids or (B, T, d_in) "
+                             "features")
+        b, t = self.inputs.shape[:2]
         if self.targets.shape != (b, t) or self.score_mask.shape != (b, t):
             raise ValueError("batch shapes are inconsistent")
 
@@ -137,7 +145,8 @@ class ModelGrads:
 
 @dataclass
 class ForwardResult:
-    probs: np.ndarray           # (T*B, d_out) softmax, time-major rows
+    probs: np.ndarray           # (T*B, d_out) softmax, time-major rows;
+                                # the .T view of a C-ordered class-major buffer
     hidden: np.ndarray          # (T+1, B, n) time-major trace
     loss: float
     final_hidden: np.ndarray    # (B, n)
@@ -179,10 +188,13 @@ def _resolve_v(model):
     return schur_mod.assemble_v(model.schur)
 
 
-def _time_major_rows(a):
-    """(B, T, k) -> (T*B, k) with rows in the recurrence's time-major
-    order, so the projections and head gradients are single GEMMs."""
-    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+def _input_rows(batch, d_in):
+    """(T*B, d_in) input rows in the recurrence's time-major order: the
+    float features, or the one-hot rows of token ids."""
+    if batch.inputs.ndim == 2:
+        return np.eye(d_in)[batch.inputs.T.ravel()]
+    x = batch.inputs
+    return x.transpose(1, 0, 2).reshape(-1, x.shape[2])
 
 
 def _scored_rows(batch):
@@ -195,37 +207,50 @@ def _scored_rows(batch):
 def forward(model, batch):
     """Forward pass: hidden trace, softmax of the output head, and mean
     cross entropy (nats) over the scored steps.  Raises ``ValueError`` on
-    a scored target outside [0, d_out), and :class:`DivergenceError` on a
-    gamma that is not > 0 or a non-finite hidden state."""
+    a scored target outside [0, d_out) or an input id outside [0, d_in),
+    and :class:`DivergenceError` on a gamma that is not > 0 or a
+    non-finite hidden state."""
     rows, tgt = _scored_rows(batch)
     if tgt.size and (tgt.min() < 0 or tgt.max() >= model.b_out.size):
         raise ValueError(f"scored targets must lie in [0, {model.b_out.size})")
+    d_in = model.u_in.shape[1]
+    ids = batch.inputs.T if batch.inputs.ndim == 2 else None
+    if ids is not None and ids.size and (ids.min() < 0 or ids.max() >= d_in):
+        raise ValueError(f"input ids must lie in [0, {d_in})")
     vv, cache = _resolve_v(model)
-    b, t_len, _ = batch.inputs.shape
+    b, t_len = batch.inputs.shape[:2]
     n = model.n
 
     h = np.empty((t_len + 1, b, n))
     h[0] = batch.h0 if batch.h0 is not None else 0.0
-    np.matmul(_time_major_rows(batch.inputs), model.u_in.T,
-              out=h[1:].reshape(-1, n))
+    if ids is None:
+        np.matmul(_input_rows(batch, d_in), model.u_in.T,
+                  out=h[1:].reshape(-1, n))
+    else:
+        # Ids select rows of u_inᵀ.  They are checked above, so the clip
+        # never fires; it lets numpy gather straight into ``out``, which
+        # mode="raise" always buffers.
+        np.take(np.ascontiguousarray(model.u_in.T), ids, axis=0, out=h[1:],
+                mode="clip")
     rnn_forward(vv, h, model.b_hidden)
 
     if not np.all(np.isfinite(h)):
         bad = int(np.argmax(~np.isfinite(h).all(axis=(1, 2))))
         raise DivergenceError(f"non-finite hidden state at step {bad}")
 
-    # One (T*B, d_out) buffer goes from logits to probabilities in place.
-    probs = h[1:].reshape(-1, n) @ model.w_out.T
-    probs += model.b_out
-    probs -= probs.max(axis=1, keepdims=True)
-    picked = probs[rows, tgt]
-    np.exp(probs, out=probs)
-    sums = probs.sum(axis=1, keepdims=True)
-    loss = float(np.sum(np.log(sums[rows, 0]) - picked) / max(rows.size, 1))
-    probs /= sums
+    # One class-major (d_out, T*B) buffer goes from logits to
+    # probabilities in place; the max and sum run across contiguous rows.
+    z = model.w_out @ h[1:].reshape(-1, n).T
+    z += model.b_out[:, None]
+    z -= z.max(axis=0)
+    picked = z[tgt, rows]
+    np.exp(z, out=z)
+    sums = z.sum(axis=0)
+    loss = float(np.sum(np.log(sums[rows]) - picked) / max(rows.size, 1))
+    z /= sums
 
     return ForwardResult(
-        probs=probs,
+        probs=z.T,
         hidden=h,
         loss=loss,
         final_hidden=h[-1].copy(),
@@ -245,21 +270,22 @@ def bptt(model, batch, fwd=None):
     if fwd is None:
         fwd = forward(model, batch)
 
-    # Cross-entropy gradient at the logits, in the head's time-major rows.
+    # Cross-entropy gradient at the logits, in the head's class-major
+    # (d_out, T*B) layout.
     rows, tgt = _scored_rows(batch)
     scale = 1.0 / max(fwd.n_scored, 1)
-    dl = fwd.probs * (batch.score_mask.T.reshape(-1, 1) * scale)
-    dl[rows, tgt] -= scale
+    dl = fwd.probs.T * (batch.score_mask.T.ravel() * scale)
+    dl[tgt, rows] -= scale
 
     h = fwd.hidden
     b, t_len = batch.score_mask.shape
     n = model.n
-    dw_out = dl.T @ h[1:].reshape(-1, n)
-    db_out = dl.sum(axis=0)
-    dpre = (dl @ model.w_out).reshape(t_len, b, n)
+    dw_out = dl @ h[1:].reshape(-1, n)
+    db_out = dl.sum(axis=1)
+    dpre = (dl.T @ model.w_out).reshape(t_len, b, n)
 
     dv, dbias = rnn_backward(fwd.v, h, dpre)
-    du_in = dpre.reshape(-1, n).T @ _time_major_rows(batch.inputs)
+    du_in = dpre.reshape(-1, n).T @ _input_rows(batch, model.u_in.shape[1])
 
     schur_grads = None
     if model.cell_kind == "schur":

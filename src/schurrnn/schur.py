@@ -189,9 +189,10 @@ def backward_v(p, grad_v, cache):
     and ``eigh`` sorts them, so a_{2i} = a_{2i+1} to rounding.  F1, F2 and
     F4 are therefore built on the n/2 pair values a_{2i} and applied to
     G^ in 2x2 blocks.  K stays dense, so no separation between pairs is
-    assumed: nearly coincident pairs are handled alike.  K = Y^T (B Y) and grad_p = (G P) Theta^T + G^T (P Theta) reuse
-    the cached B Y and P Theta, and G P serves grad_theta as well: the
-    pullback takes 11 n x n GEMMs.
+    assumed: nearly coincident pairs are handled alike.  K = Y^T (B Y)
+    and grad_p = (G P) Theta^T + G^T (P Theta) reuse the cached B Y and
+    P Theta, and G P serves grad_theta as well: the pullback takes 11
+    n x n GEMMs.
     """
     n = p.n
     grad_v = np.asarray(grad_v, dtype=np.float64)

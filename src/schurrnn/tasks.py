@@ -1,5 +1,6 @@
 """Task generators: the copy task and character-level next-character
-prediction over a plain-text corpus.
+prediction over a plain-text corpus.  Both emit (B, T) integer token ids
+as inputs.
 
 Copy task layout (delay T, total length T + 20): 10 random data symbols
 (ids 0..7), T - 1 blanks (id 8), one marker (id 9), then 10 blanks.
@@ -31,7 +32,7 @@ COPY_N_SYMBOLS = 8    # distinct data symbols
 COPY_N_DATA = 10      # symbols to memorize and recall
 BLANK = COPY_N_SYMBOLS          # id 8
 MARKER = COPY_N_SYMBOLS + 1     # id 9, input-only
-COPY_D_IN = COPY_N_SYMBOLS + 2      # one-hot over data + blank + marker
+COPY_D_IN = COPY_N_SYMBOLS + 2      # input ids: data + blank + marker
 COPY_D_OUT = COPY_N_SYMBOLS + 1     # marker is never a target
 
 
@@ -52,10 +53,6 @@ class CopyTaskSpec:
         return self.delay + 2 * COPY_N_DATA
 
 
-def _one_hot(ids, depth):
-    return np.eye(depth)[ids]
-
-
 def copy_batch(spec, rng=None):
     """One batch of copy-task sequences.  With no explicit ``rng`` the
     spec's seed produces the same batch every call."""
@@ -72,7 +69,7 @@ def copy_batch(spec, rng=None):
     targets[:, delay + COPY_N_DATA:] = data
 
     return SequenceBatch(
-        inputs=_one_hot(inputs, COPY_D_IN),
+        inputs=inputs,
         targets=targets,
         score_mask=np.ones((b, t_len), dtype=bool),
     )
@@ -150,7 +147,6 @@ class _CharLmStream:
             raise ValueError("corpus too short for this batch/window geometry")
         self.span = span
         self.offsets = np.zeros(spec.batch_size, dtype=np.int64)
-        self.vocab_size = spec.vocab_size
 
     def __iter__(self):
         return self
@@ -163,7 +159,7 @@ class _CharLmStream:
                             + np.arange(w + 1)]
         self.offsets = starts + w
         return SequenceBatch(
-            inputs=_one_hot(ids[:, :-1], self.vocab_size),
+            inputs=ids[:, :-1],
             targets=ids[:, 1:],
             score_mask=np.ones((b, w), dtype=bool),
         )

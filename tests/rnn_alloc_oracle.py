@@ -4,10 +4,10 @@ oracle for the in-place kernels of :mod:`schurrnn.rnn`.
 Here the input projection is its own ``pre`` array and the hidden trace a
 fresh one; the reverse sweep builds ``dh + gout`` and an ``np.where``
 mask at every step into a fresh ``dpre``; and dbias is the sum of a
-product of two temporaries.  The head is the same fused softmax
-cross-entropy as the library's.  Every operation rounds as the library's
-does (IEEE addition and multiplication commute), so the two must agree
-bit for bit.
+product of two temporaries.  The head is the same fused class-major
+softmax cross-entropy as the library's.  Every operation rounds as the
+library's does (IEEE addition and multiplication commute), so the two
+must agree bit for bit.
 """
 
 import numpy as np
@@ -63,15 +63,15 @@ def forward(model, batch):
     h0 = batch.h0 if batch.h0 is not None else np.zeros((b, n))
     h = rnn_forward(v, pre, model.b_hidden, h0)
 
-    probs = h[1:].reshape(-1, n) @ model.w_out.T
-    probs += model.b_out
-    probs -= probs.max(axis=1, keepdims=True)
-    picked = probs[rows, tgt]
-    np.exp(probs, out=probs)
-    sums = probs.sum(axis=1, keepdims=True)
-    loss = float(np.sum(np.log(sums[rows, 0]) - picked) / max(rows.size, 1))
-    probs /= sums
-    return ForwardResult(probs=probs, hidden=h, loss=loss,
+    z = model.w_out @ h[1:].reshape(-1, n).T
+    z += model.b_out[:, None]
+    z -= z.max(axis=0)
+    picked = z[tgt, rows]
+    np.exp(z, out=z)
+    sums = z.sum(axis=0)
+    loss = float(np.sum(np.log(sums[rows]) - picked) / max(rows.size, 1))
+    z /= sums
+    return ForwardResult(probs=z.T, hidden=h, loss=loss,
                          final_hidden=h[-1].copy(), v=v, schur_cache=cache,
                          n_scored=rows.size)
 
@@ -79,15 +79,15 @@ def forward(model, batch):
 def bptt(model, batch, fwd):
     rows, tgt = _scored(batch)
     scale = 1.0 / max(fwd.n_scored, 1)
-    dl = fwd.probs * (batch.score_mask.T.reshape(-1, 1) * scale)
-    dl[rows, tgt] -= scale
+    dl = fwd.probs.T * (batch.score_mask.T.ravel() * scale)
+    dl[tgt, rows] -= scale
 
     h = fwd.hidden
     b, t_len = batch.score_mask.shape
     n = model.n
-    dw_out = dl.T @ h[1:].reshape(-1, n)
-    db_out = dl.sum(axis=0)
-    gout = (dl @ model.w_out).reshape(t_len, b, n)
+    dw_out = dl @ h[1:].reshape(-1, n)
+    db_out = dl.sum(axis=1)
+    gout = (dl.T @ model.w_out).reshape(t_len, b, n)
     dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
     du_in = dpre.reshape(-1, n).T @ _rows(batch.inputs)
     return ModelGrads(u_in=du_in, b_hidden=dbias, w_out=dw_out, b_out=db_out,

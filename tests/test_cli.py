@@ -189,6 +189,9 @@ def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):
         def batches():
             for i, batch in enumerate(stream, start=1):
                 if i == 11:
+                    # Token ids cannot hold a NaN, so this batch goes in
+                    # as the equal one-hot float features, poisoned.
+                    batch.inputs = np.eye(d_in)[batch.inputs]
                     batch.inputs[0, 0, 0] = np.nan
                 yield batch
         return batches(), d_in, d_out

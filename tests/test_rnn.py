@@ -432,6 +432,66 @@ def test_in_place_recurrence_matches_allocating_oracle_bitwise(
                               getattr(ref.schur, name)), name
 
 
+def with_inputs(batch, inputs):
+    return SequenceBatch(inputs=inputs, targets=batch.targets,
+                         score_mask=batch.score_mask, h0=batch.h0)
+
+
+@pytest.mark.parametrize("b,t_len,n,d_in,d_out", TRAINING_SHAPES)
+def test_token_ids_match_one_hot_features_bitwise(b, t_len, n, d_in, d_out):
+    """Token ids, gathered from u_inᵀ, give the same bits in the forward
+    pass and in every gradient as the same batch fed as one-hot float
+    features through the projection GEMM."""
+    model, batch = carried_batch(b, t_len, n, d_in, d_out)
+    ids = np.random.default_rng(6).integers(0, d_in, size=(b, t_len))
+    id_batch = with_inputs(batch, ids)
+    float_batch = with_inputs(batch, np.eye(d_in)[ids])
+    fwd = forward(model, id_batch)
+    grads = bptt(model, id_batch, fwd=fwd)
+    ref_fwd = forward(model, float_batch)
+    ref = bptt(model, float_batch, fwd=ref_fwd)
+
+    assert np.array_equal(fwd.hidden, ref_fwd.hidden)
+    assert np.array_equal(fwd.probs, ref_fwd.probs)
+    assert fwd.loss == ref_fwd.loss
+    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.array_equal(getattr(grads.schur, name),
+                              getattr(ref.schur, name)), name
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 4])
+def test_token_ids_out_of_range_raise(bad):
+    """The gather clamps out-of-range ids, so forward rejects them first."""
+    model = init_model(8, 3, 2, seed=0)
+    ids = np.zeros((2, 5), dtype=np.int64)
+    ids[1, 3] = bad
+    batch = SequenceBatch(
+        inputs=ids,
+        targets=np.zeros((2, 5), dtype=np.int64),
+        score_mask=np.ones((2, 5), dtype=bool),
+    )
+    with pytest.raises(ValueError, match="input ids"):
+        forward(model, batch)
+    with pytest.raises(ValueError, match="input ids"):
+        bptt(model, batch)
+
+
+@pytest.mark.parametrize("inputs,message", [
+    (np.zeros((2, 5)), "integer token ids"),
+    (np.zeros((2, 5), dtype=bool), "integer token ids"),
+    (np.zeros(10, dtype=np.int64), "inputs must be"),
+])
+def test_batch_rejects_inputs_that_are_not_ids_or_features(inputs, message):
+    with pytest.raises(ValueError, match=message):
+        SequenceBatch(
+            inputs=inputs,
+            targets=np.zeros((2, 5), dtype=np.int64),
+            score_mask=np.ones((2, 5), dtype=bool),
+        )
+
+
 @pytest.mark.parametrize("b,t_len,n,d_in,d_out,budget", [
     (10, 70, 128, 10, 9, 6.4),
     (8, 150, 64, 56, 56, 5.85),

@@ -23,8 +23,8 @@ def test_copy_layout():
     spec = CopyTaskSpec(delay=7, batch_size=3, seed=0)
     b = copy_batch(spec)
     t_len = 7 + 20
-    assert b.inputs.shape == (3, t_len, COPY_D_IN)
-    ids = b.inputs.argmax(-1)
+    assert b.inputs.shape == (3, t_len)
+    ids = b.inputs
     # first 10 steps: data symbols in 0..7
     assert np.all(ids[:, :10] < 8)
     # marker exactly at index T+9, blanks elsewhere after the data
@@ -78,7 +78,7 @@ def test_blank_then_uniform_predictor_achieves_baseline():
 def test_copy_symbols_uniform_chi_square():
     spec = CopyTaskSpec(delay=1, batch_size=10000, seed=7)
     b = copy_batch(spec)
-    data = b.inputs[:, :10].argmax(-1).ravel()  # 1e5 draws
+    data = b.inputs[:, :10].ravel()  # 1e5 draws
     counts = np.bincount(data, minlength=8)
     expected = data.size / 8
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -105,7 +105,7 @@ def test_char_lm_targets_are_shifted_inputs(tmp_path):
     spec = CharLmSpec(str(path), window=4, batch_size=2)
     stream = char_lm_stream(spec)
     batch = next(stream)
-    ids = batch.inputs.argmax(-1)
+    ids = batch.inputs
     # target is the next character: a<->b alternation
     assert np.array_equal(batch.targets[:, :-1], ids[:, 1:])
     assert np.all(ids != batch.targets)  # strict alternation
@@ -119,7 +119,7 @@ def test_char_lm_lane_partition_reconstructs_corpus():
     n_windows = span // 25
     for _ in range(n_windows):
         batch = next(stream)
-        ids = batch.inputs.argmax(-1)
+        ids = batch.inputs
         for lane in range(4):
             collected[lane].append(ids[lane])
     recon = np.concatenate([np.concatenate(c) for c in collected])
@@ -153,6 +153,19 @@ def test_char_lm_carry_flag_and_determinism():
         a, b = next(s1), next(s2)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
+
+
+@pytest.mark.parametrize("task", ["copy", "char_lm"])
+def test_streams_emit_integer_ids_in_range(task):
+    if task == "copy":
+        stream, d_in = copy_stream(CopyTaskSpec(delay=30, seed=2)), COPY_D_IN
+    else:
+        spec = CharLmSpec(CORPUS, window=150, batch_size=8)
+        stream, d_in = char_lm_stream(spec), spec.vocab_size
+    for _ in range(100):
+        ids = next(stream).inputs
+        assert ids.ndim == 2 and np.issubdtype(ids.dtype, np.integer)
+        assert ids.min() >= 0 and ids.max() < d_in
 
 
 def test_untrained_loss_near_max_entropy(tmp_path):
