@@ -77,12 +77,9 @@ class FmcResult:
 def build_theta_family(cfg):
     """Assemble the (d, alpha, beta) lower-triangular family."""
     n = cfg.n
-    theta = np.zeros((n, n))
-    for i in range(n):
-        theta[i, i] = cfg.d
-        if i >= 1:
-            theta[i, i - 1] = cfg.alpha
-        theta[i, : max(i - 1, 0)] = cfg.beta
+    theta = np.tril(np.full((n, n), cfg.beta, dtype=float), -2)
+    theta[np.arange(1, n), np.arange(n - 1)] = cfg.alpha
+    np.fill_diagonal(theta, cfg.d)
     return theta
 
 
@@ -93,8 +90,7 @@ def delay_line_theta(n, alpha):
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     theta = np.zeros((n, n))
-    for i in range(1, n):
-        theta[i, i - 1] = np.sqrt(alpha)
+    theta[np.arange(1, n), np.arange(n - 1)] = np.sqrt(alpha)
     return theta
 
 
@@ -290,38 +286,61 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     ``SeedSequence([seed, s])`` stream, so a given seed now yields
     different, statistically equivalent statistics.
 
-    Theta is lower triangular, so leading units that are exactly zero in
-    every sample stay zero: each step multiplies only the trailing live
-    block, and stepping stops once the whole state is zero (from t = n on
-    when d = 0), leaving the remaining statistics exactly 0.
+    The first step reads the normalized draw itself; from then on the
+    state is held unit-major in two reused C-ordered (n, n_samples)
+    buffers, and each step writes from one into the other.  Theta is lower
+    triangular, so leading units that are exactly zero in every sample
+    stay zero: each step acts only on the trailing live block, and
+    stepping stops once the whole state is zero (from t = n on when
+    d = 0), leaving the remaining statistics exactly 0.  For beta = 0
+    Theta is lower bidiagonal and the step is a shift, alpha * h[:-1]
+    plus d * h[1:]; otherwise it is one GEMM on the live block of Theta.
+    The statistics equal those of a dense GEMM step to rounding; they are
+    not guaranteed bit for bit, since a BLAS may order or fuse the GEMM's
+    multiply-adds differently from the shift.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be >= 0")
-    theta = build_theta_family(cfg)
-    n = cfg.n
+    n, d, alpha = cfg.n, cfg.d, cfg.alpha
     t_max = t_max if t_max is not None else 2 * n
-
-    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    h = x.T   # (units, samples)
+    theta = build_theta_family(cfg) if cfg.beta != 0 else None
 
     unit_std = np.zeros((t_max + 1, n_samples))
     norms = np.zeros((t_max + 1, n_samples))
-    k = 0   # h holds units k..n-1; the units before k are exactly zero
+    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # The draw is the first state, read unit-major through its transposed
+    # view (a GEMM takes that layout at no cost); the first step writes
+    # into a C-ordered buffer, and the draw is freed before the second.
+    cur, nxt = x.T, np.empty((n, n_samples))
+    del x
+    k = 0   # cur[k:] holds the live units; the units before k are exactly 0
     for t in range(t_max + 1):
-        while k < n and not h[0].any():
-            h = h[1:]
+        while k < n and not cur[k].any():
             k += 1
         if k == n:
             break
+        h = cur[k:]
         sumsq = np.einsum("ij,ij->j", h, h)
         mean = h.sum(axis=0) / n
         norms[t] = np.sqrt(sumsq)
         unit_std[t] = np.sqrt(np.maximum(sumsq / n - mean * mean, 0.0))
-        if t < t_max:
-            h = theta[k:, k:] @ h
+        if t == t_max:
+            break
+        out = nxt[k:]
+        if theta is not None:
+            np.matmul(theta[k:, k:], h, out=out)
+        else:
+            np.multiply(h[:-1], alpha, out=out[1:])
+            if d != 0:
+                out[1:] += d * h[1:]
+            np.multiply(h[0], d, out=out[0])
+        cur, nxt = nxt, cur
+        if t == 0:
+            nxt = h = None   # drop the draw before allocating its successor
+            nxt = np.empty_like(cur)
     return TransientStats(
         t=np.arange(t_max + 1),
         unit_std_mean=unit_std.mean(axis=1),

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,39 @@ def test_build_theta_family_layout():
     # d=0 family is nilpotent
     th0 = build_theta_family(FmcConfig(n=5, d=0.0, alpha=1.0, beta=0.3))
     assert np.allclose(np.linalg.matrix_power(th0, 5), 0.0)
+
+
+def theta_family_loop(n, d, alpha, beta):
+    """The family assembled one row at a time."""
+    theta = np.zeros((n, n))
+    for i in range(n):
+        theta[i, i] = d
+        if i >= 1:
+            theta[i, i - 1] = alpha
+        theta[i, : max(i - 1, 0)] = beta
+    return theta
+
+
+def delay_line_loop(n, alpha):
+    theta = np.zeros((n, n))
+    for i in range(1, n):
+        theta[i, i - 1] = np.sqrt(alpha)
+    return theta
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 100])
+def test_build_theta_family_matches_row_loop(n):
+    for d, alpha, beta in itertools.product(
+            (0.0, 0.2), (0.95, 1.0, 1.05), (0.0, 0.005, 0.5)):
+        got = build_theta_family(FmcConfig(n=n, d=d, alpha=alpha, beta=beta))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, theta_family_loop(n, d, alpha, beta))
+    for alpha in (0.5, 1.0, 1.05):
+        assert np.array_equal(delay_line_theta(n, alpha),
+                              delay_line_loop(n, alpha))
+    # integer fields, as a JSON config may give them, still build floats
+    got = build_theta_family(FmcConfig(n=n, d=0, alpha=2, beta=1))
+    assert np.array_equal(got, theta_family_loop(n, 0.0, 2.0, 1.0))
 
 
 def test_noise_covariance_hand_sums():
@@ -347,7 +383,14 @@ def transient_oracle(cfg, h0, t_max):
     (dict(n=30, d=0.0, alpha=1.05, beta=0.005), 200, 45),
     (dict(n=30, d=0.5, alpha=1.02, beta=0.01), 200, 60),
     (dict(n=100, d=0.0, alpha=1.0, beta=0.005), 1000, 120),
-], ids=["d0", "d0_beta", "d_positive", "bench_shape"])
+    (dict(n=100, d=0.0, alpha=1.05, beta=0.0), 1000, 120),
+    (dict(n=30, d=0.5, alpha=1.02, beta=0.0), 200, 60),
+    (dict(n=2, d=0.0, alpha=1.05, beta=0.0), 50, 5),
+    (dict(n=2, d=0.3, alpha=1.05, beta=0.0), 50, 5),
+    (dict(n=3, d=0.0, alpha=1.0, beta=0.2), 50, 0),
+], ids=["d0", "d0_beta", "d_positive", "bench_shape", "bidiagonal_bench_shape",
+        "bidiagonal_d_positive", "bidiagonal_n2_d0", "bidiagonal_n2_d_positive",
+        "n3_t0"])
 def test_transient_matches_dense_oracle(row, n_samples, t_max):
     cfg = FmcConfig(**row)
     stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
@@ -372,3 +415,23 @@ def test_transient_draw_is_prefix_stable():
     np.testing.assert_allclose(stats.norm_mean, ref[2], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(stats.unit_std_mean, ref[0], rtol=1e-12,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.005])
+def test_transient_allocation_budget(beta):
+    """Peak traced allocation of one ensemble at the benchmark shape, in
+    units of one (n, n_samples) float64 state.  The state lives in two
+    reused buffers and the statistics in two (t_max + 1, n_samples)
+    arrays (2.42 units); a third state-sized array alive across the loop,
+    or statistics taken after the loop from full-size temporaries, would
+    break the budget."""
+    n, n_samples, t_max = 100, 1000, 120
+    cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
+    transient_ensemble(cfg, n_samples=n_samples, t_max=t_max)  # warm up
+    tracemalloc.start()
+    try:
+        transient_ensemble(cfg, n_samples=n_samples, t_max=t_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n_samples * 8) < 6
