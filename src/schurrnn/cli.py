@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -42,7 +43,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, bad UTF-8, huge integers
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
@@ -60,7 +61,9 @@ _JSON_TYPES = {
 def _checked(doc, types, required, where):
     """The JSON object ``doc`` as a dict, after checking that its keys are
     among those of ``types``, that it has every ``required`` key, and that
-    each value has its key's type.  Float values come back as floats."""
+    each value has its key's type.  Float values come back as floats, and
+    must be finite: ``json`` reads ``NaN``, ``Infinity`` and ``1e400``
+    without complaint."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     unknown = sorted(set(doc) - set(types))
@@ -75,7 +78,16 @@ def _checked(doc, types, required, where):
         if isinstance(value, bool) or not isinstance(value, json_type):
             raise ConfigError(
                 f"{where}: {key} must be {name}, not {json.dumps(value)}")
-        values[key] = float(value) if types[key] is float else value
+        if types[key] is float:
+            try:
+                value = float(value)
+            except OverflowError:   # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{where}: {key} must be a finite number, "
+                    f"not {json.dumps(doc[key])}")
+        values[key] = value
     return values
 
 

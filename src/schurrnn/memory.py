@@ -273,6 +273,47 @@ class TransientStats:
     norm_std: np.ndarray
 
 
+def _shift_chain_stats(x, alpha, unit_std, norms):
+    """Fill the statistics rows t < n of ``unit_std`` and ``norms`` for
+    Theta = alpha * S, S the down-shift, from the normalized draw ``x``
+    (n_samples, n), which is overwritten.
+
+    h_t = alpha^t S^t x holds the first n - t units of x, so with P1 and
+    P2 the sums of x and x^2 over those units, ||h_t|| = |alpha|^t sqrt(P2)
+    and the per-unit standard deviation is |alpha|^t sqrt(P2/n - (P1/n)^2).
+    P1 and P2 for every t are the columns of two prefix sums along the
+    unit axis, read last column first."""
+    n = x.shape[1]
+    m = min(len(norms), n)
+    ns, us = norms[:m], unit_std[:m]
+    sq = np.square(x)
+    np.cumsum(sq, axis=1, out=sq)
+    np.copyto(ns, sq[:, ::-1][:, :m].T)   # P2
+    np.cumsum(x, axis=1, out=x)
+    np.copyto(us, x[:, ::-1][:, :m].T)    # P1
+    # P2/n - (P1/n)^2, in place
+    np.square(us, out=us)
+    us /= -n
+    us += ns
+    us /= n
+    np.maximum(us, 0.0, out=us)
+    np.sqrt(us, out=us)
+    np.sqrt(ns, out=ns)
+    scale = (abs(alpha) ** np.arange(m))[:, None]
+    us *= scale
+    ns *= scale
+
+
+def _ensemble(unit_std, norms):
+    return TransientStats(
+        t=np.arange(len(norms)),
+        unit_std_mean=unit_std.mean(axis=1),
+        unit_std_std=unit_std.std(axis=1),
+        norm_mean=norms.mean(axis=1),
+        norm_std=norms.std(axis=1),
+    )
+
+
 def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     """Iterate h_{t+1} = Theta h_t from initial conditions uniform on the
     unit hypersphere (normalized Gaussians) and return ensemble statistics
@@ -295,9 +336,18 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     d = 0), leaving the remaining statistics exactly 0.  For beta = 0
     Theta is lower bidiagonal and the step is a shift, alpha * h[:-1]
     plus d * h[1:]; otherwise it is one GEMM on the live block of Theta.
+
+    For d = beta = 0, Theta = alpha * S with S the down-shift, and nothing
+    is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units of the
+    draw, so every statistic at t < n follows from prefix sums of the
+    draw and of its squares along the unit axis, in O(n * n_samples)
+    work in all.  From t = n on (and from t = 1 on when alpha = 0) the
+    statistics are exactly 0.
+
     The statistics equal those of a dense GEMM step to rounding; they are
     not guaranteed bit for bit, since a BLAS may order or fuse the GEMM's
-    multiply-adds differently from the shift.
+    multiply-adds differently from the shift, and the prefix sums add in
+    another order than the per-step reductions.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -311,6 +361,10 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     norms = np.zeros((t_max + 1, n_samples))
     x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
+    if d == 0 and cfg.beta == 0:
+        _shift_chain_stats(x, alpha, unit_std, norms)
+        del x   # before the summaries' temporaries
+        return _ensemble(unit_std, norms)
     # The draw is the first state, read unit-major through its transposed
     # view (a GEMM takes that layout at no cost); the first step writes
     # into a C-ordered buffer, and the draw is freed before the second.
@@ -333,18 +387,12 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
         if theta is not None:
             np.matmul(theta[k:, k:], h, out=out)
         else:
+            # d != 0 here: d = beta = 0 took the prefix-sum branch
             np.multiply(h[:-1], alpha, out=out[1:])
-            if d != 0:
-                out[1:] += d * h[1:]
+            out[1:] += d * h[1:]
             np.multiply(h[0], d, out=out[0])
         cur, nxt = nxt, cur
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor
             nxt = np.empty_like(cur)
-    return TransientStats(
-        t=np.arange(t_max + 1),
-        unit_std_mean=unit_std.mean(axis=1),
-        unit_std_std=unit_std.std(axis=1),
-        norm_mean=norms.mean(axis=1),
-        norm_std=norms.std(axis=1),
-    )
+    return _ensemble(unit_std, norms)

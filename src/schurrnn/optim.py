@@ -97,7 +97,8 @@ def train_loop(model, stream, config):
     The stream may set ``carry_hidden = True`` to have each window start
     from the previous window's final hidden state (no gradient flows across
     the boundary).  Raises :class:`DivergenceError`, naming the update, on
-    a gamma that is not > 0 or a non-finite hidden state or loss.
+    a gamma that is not > 0, a failed eigendecomposition of B^T B or a
+    non-finite hidden state or loss.
 
     Clamped gamma is set once here and never stepped; the gamma pull of the
     regularizer applies in regularized mode only.

@@ -208,8 +208,8 @@ def forward(model, batch):
     """Forward pass: hidden trace, softmax of the output head, and mean
     cross entropy (nats) over the scored steps.  Raises ``ValueError`` on
     a scored target outside [0, d_out) or an input id outside [0, d_in),
-    and :class:`DivergenceError` on a gamma that is not > 0 or a
-    non-finite hidden state."""
+    and :class:`DivergenceError` on a gamma that is not > 0, a failed
+    eigendecomposition of B^T B or a non-finite hidden state."""
     rows, tgt = _scored_rows(batch)
     if tgt.size and (tgt.min() < 0 or tgt.max() >= model.b_out.size):
         raise ValueError(f"scored targets must lie in [0, {model.b_out.size})")

@@ -30,10 +30,10 @@ __all__ = [
 
 
 class DivergenceError(FloatingPointError):
-    """A numerical failure: a rotation modulus gamma that is not > 0, a
-    non-finite hidden state or loss, or a covariance series still growing
-    at its term cap.  ``records`` holds the training log records written
-    before it."""
+    """A numerical failure: a rotation modulus gamma that is not > 0, an
+    eigendecomposition of B^T B that fails, a non-finite hidden state or
+    loss, or a covariance series still growing at its term cap.
+    ``records`` holds the training log records written before it."""
 
     def __init__(self, message, records=()):
         super().__init__(message)
@@ -143,9 +143,14 @@ def assemble_v(p):
     |B| = (B^T B)^(1/2).  One real symmetric eigendecomposition
     B^T B = Y diag(a^2) Y^T gives P = (Y cos a + (B Y) sinc a) Y^T, where
     sinc 0 = 1.  The :class:`SchurCache` is consumed by :func:`backward_v`.
+    Raises :class:`DivergenceError` when ``eigh`` fails, as it does once
+    B^T B overflows.
     """
     b = p.b_skew
-    lam, y = np.linalg.eigh(b.T @ b)
+    try:
+        lam, y = np.linalg.eigh(b.T @ b)
+    except np.linalg.LinAlgError as exc:
+        raise DivergenceError(f"eigh of B^T B failed: {exc}") from exc
     a = np.sqrt(np.maximum(lam, 0.0))
     by = b @ y
     big_p = (y * np.cos(a) + by * _guarded_div(np.sin(a), a, 1.0)) @ y.T

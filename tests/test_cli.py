@@ -91,9 +91,15 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"train": {"max_updates": -3}},
     {"train": {"log_every": -1}},
     {"train": {"max_updates": True}},
+    {"train": {"delta": float("nan")}},
+    {"train": {"t_decay": float("nan")}},
+    {"train": {"lr": float("nan")}},
+    {"train": {"lr_orth": float("inf")}},
+    {"train": {"lr": -float("inf")}},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
-        "max_updates_negative", "log_every_negative", "max_updates_bool"])
+        "max_updates_negative", "log_every_negative", "max_updates_bool",
+        "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     out = tmp_path / "o"
     code = cli.main(["train", "--config", train_config(tmp_path, **over),
@@ -104,6 +110,9 @@ def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     assert not out.exists()
 
 
+# json.dump writes these as the non-standard NaN and Infinity literals,
+# which json.load reads back.
+NAN, INF = float("nan"), float("inf")
 TRANSIENTS = {"configs": [{"n": 10, "alpha": 1.05}], "n_samples": 1,
               "t_max": 12}
 PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
@@ -126,14 +135,41 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("fmc", {"sweep": [{"n": "4"}]}),
     ("fmc", {"sweep": [{"n": 4, "k_max": 2.5}]}),
     ("transients", {**TRANSIENTS, "n_samples": 2.5}),
+    ("transients", {**TRANSIENTS, "configs": [{"n": 10, "alpha": NAN}]}),
+    ("transients", {**TRANSIENTS, "configs": [{"n": 10, "beta": INF}]}),
+    ("fmc", {"sweep": [{"n": 4}, {"n": 4, "alpha": NAN}]}),
+    ("fmc", {"sweep": [{"n": 4, "beta": INF}]}),
+    ("fmc", {"sweep": [{"n": 4, "eps": INF}]}),
+    ("fmc", {"sweep": [{"n": 4, "d": -INF}]}),
+    ("props", {**PROPS, "prop1": [{"n": 6, "alpha": NAN}]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
-        "fmc_k_max_float", "n_samples_float"])
+        "fmc_k_max_float", "n_samples_float", "transients_alpha_nan",
+        "transients_beta_inf", "fmc_alpha_nan", "fmc_beta_inf",
+        "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
     code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
                      "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"sweep": [{"n": 4, "alpha": 1e400}]}',
+    '{"sweep": [{"n": 4, "alpha": 1%s}]}' % ("0" * 400),
+    '{"sweep": [{"n": 4, "alpha": 1%s}]}' % ("0" * 5000),
+], ids=["float_overflow", "integer_beyond_float", "integer_too_long"])
+def test_out_of_range_number_exit_1(tmp_path, capsys, text):
+    # 1e400 reads as inf; a 401-digit integer has no float; json refuses
+    # integers of more than 4300 digits with a ValueError
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    code = cli.main(["fmc", "--config", str(path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
@@ -205,6 +241,29 @@ def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):
     assert err.startswith("numerical failure:") and "at update 11" in err
     rows = list(csv.reader((out / "train_log.csv").open()))
     assert [r[0] for r in rows] == ["update", "5", "10"]
+    assert not (out / "checkpoint.json").exists()
+
+
+def test_train_eigh_failure_exit_2_keeps_log(tmp_path):
+    # lr_orth = 1e300 makes B overflow at the first step, so eigh fails in
+    # assemble_v at update 2.  The overflow's RuntimeWarning, which this
+    # suite turns into an error, prints only in a child process.
+    path = train_config(tmp_path, train={
+        "max_updates": 15, "log_every": 1, "batch_size": 4,
+        "lr_orth": 1e300})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurrnn.cli", "train", "--config", path,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "numerical failure: eigh of B^T B failed" in proc.stderr
+    assert proc.stderr.rstrip().endswith("at update 2")
+    rows = list(csv.reader((out / "train_log.csv").open()))
+    assert [r[0] for r in rows] == ["update", "1"]
     assert not (out / "checkpoint.json").exists()
 
 

@@ -332,6 +332,19 @@ def test_transient_nilpotent_cutoff():
     assert stats.norm_mean[0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha,first_zero", [(1.05, 20), (-1.1, 20),
+                                               (0.0, 1)])
+def test_transient_shift_chain_exact_zeros(alpha, first_zero):
+    # d = beta = 0: the state is exactly zero from t = n on, and from t = 1
+    # on when alpha = 0
+    cfg = FmcConfig(n=20, d=0.0, alpha=alpha, beta=0.0)
+    stats = transient_ensemble(cfg, n_samples=100, t_max=30, rng_seed=0)
+    for stat in (stats.unit_std_mean, stats.unit_std_std, stats.norm_mean,
+                 stats.norm_std):
+        assert np.all(stat[first_zero:] == 0.0)
+        assert np.all(stat[1:first_zero] > 0.0)
+
+
 def test_transient_shift_monotone():
     # alpha=1 delay line: per-trajectory norm never increases
     cfg = FmcConfig(n=30, d=0.0, alpha=1.0, beta=0.0)
@@ -388,9 +401,18 @@ def transient_oracle(cfg, h0, t_max):
     (dict(n=2, d=0.0, alpha=1.05, beta=0.0), 50, 5),
     (dict(n=2, d=0.3, alpha=1.05, beta=0.0), 50, 5),
     (dict(n=3, d=0.0, alpha=1.0, beta=0.2), 50, 0),
+    (dict(n=100, d=0.0, alpha=0.95, beta=0.0), 1000, 120),
+    (dict(n=100, d=0.0, alpha=1.0, beta=0.0), 1000, 120),
+    (dict(n=100, d=0.0, alpha=1.05, beta=0.0), 1000, 45),
+    (dict(n=30, d=0.0, alpha=0.0, beta=0.0), 200, 45),
+    (dict(n=30, d=0.0, alpha=-1.1, beta=0.0), 200, 45),
+    (dict(n=2, d=0.0, alpha=0.95, beta=0.0), 50, 1),
+    (dict(n=30, d=0.0, alpha=1.05, beta=0.0), 200, 0),
 ], ids=["d0", "d0_beta", "d_positive", "bench_shape", "bidiagonal_bench_shape",
         "bidiagonal_d_positive", "bidiagonal_n2_d0", "bidiagonal_n2_d_positive",
-        "n3_t0"])
+        "n3_t0", "shift_bench_shape_a0.95", "shift_bench_shape_a1.0",
+        "shift_t_max_below_n", "shift_alpha0", "shift_alpha_negative",
+        "shift_n2", "shift_t0"])
 def test_transient_matches_dense_oracle(row, n_samples, t_max):
     cfg = FmcConfig(**row)
     stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
@@ -420,11 +442,14 @@ def test_transient_draw_is_prefix_stable():
 @pytest.mark.parametrize("beta", [0.0, 0.005])
 def test_transient_allocation_budget(beta):
     """Peak traced allocation of one ensemble at the benchmark shape, in
-    units of one (n, n_samples) float64 state.  The state lives in two
-    reused buffers and the statistics in two (t_max + 1, n_samples)
-    arrays (2.42 units); a third state-sized array alive across the loop,
-    or statistics taken after the loop from full-size temporaries, would
-    break the budget."""
+    units of one (n, n_samples) float64 state.  The statistics live in two
+    (t_max + 1, n_samples) arrays (2.42 units).  With beta != 0 the state
+    lives in two reused buffers; a third state-sized array alive across
+    the loop, or statistics taken after the loop from full-size
+    temporaries, would break the budget.  With beta = 0 (and d = 0) the
+    draw and its squares hold the prefix sums, which are written straight
+    into the statistics arrays; gathering through temporaries would break
+    it."""
     n, n_samples, t_max = 100, 1000, 120
     cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
     transient_ensemble(cfg, n_samples=n_samples, t_max=t_max)  # warm up

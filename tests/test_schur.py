@@ -83,6 +83,15 @@ def test_assemble_theta_rejects_nonpositive_gamma(bad):
         assemble_theta(p)
 
 
+def test_assemble_v_eigh_failure_is_divergence():
+    # B^T B overflows to inf and eigh does not converge
+    p = random_params(8, seed=0)
+    p.b_skew = p.b_skew * 1e200
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DivergenceError, match="eigh of B\\^T B failed"):
+            assemble_v(p)
+
+
 def test_spectrum_independent_of_t_and_p():
     """Eigenvalues of V are {gamma_i e^{+-i theta_i}} for any T and P."""
     rng = np.random.default_rng(1)
