@@ -31,7 +31,6 @@ __all__ = [
     "fisher_memory_curve",
     "fmc_from_theta",
     "delay_line_fmc_closed_form",
-    "gram_schmidt_triangular",
     "prop1_bound_check",
     "Prop1Report",
     "transient_ensemble",
@@ -187,41 +186,6 @@ class Prop1Report:
     holds: bool
 
 
-def gram_schmidt_triangular(theta, rank_tol=1e-12):
-    """Orthogonalize the columns of ``theta``.
-
-    Returns ``(q, t_gram)`` with ``theta[:, :m] = q @ t_gram`` where ``m`` is
-    the number of leading nonzero columns.  ``t_gram`` is upper triangular
-    with unit diagonal (the column norms are folded into ``q``, whose columns
-    stay mutually orthogonal).  Structurally-zero trailing columns, as in a
-    strictly lower-triangular matrix, are dropped.
-
-    Raises ``numpy.linalg.LinAlgError`` when the leading columns are
-    rank deficient.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2:
-        raise ValueError(f"theta must be 2-D, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta contains non-finite entries")
-    n, m_all = theta.shape
-    if n != m_all:
-        raise ValueError(f"gram_schmidt_triangular requires square input, got {theta.shape}")
-    nonzero = np.any(theta != 0.0, axis=0)
-    m = int(np.max(np.nonzero(nonzero)[0])) + 1 if nonzero.any() else 0
-    if m == 0:
-        raise np.linalg.LinAlgError("all columns are zero")
-    cols = theta[:, :m]
-    q, r = np.linalg.qr(cols)
-    d = np.diag(r).copy()
-    scale = np.linalg.norm(cols, axis=0)
-    if np.any(np.abs(d) <= rank_tol * np.maximum(scale, 1.0)):
-        raise np.linalg.LinAlgError("leading columns are rank deficient")
-    t_gram = r / d[:, None]
-    q = q * d[None, :]
-    return q, t_gram
-
-
 def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     """Verify the lower bound on the memory curve of a strictly
     lower-triangular matrix with sqrt(alpha) on its sub-diagonal:
@@ -229,21 +193,29 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
         J(k) >= alpha^k (alpha-1) / (alpha^{k+1}-1) / sigma_max^{2(N-1)}
 
     where sigma_max is the top singular value of the unit-diagonal
-    triangular factor from Gram-Schmidt on the columns.  A violation beyond
-    ``slack`` signals an implementation bug, so it raises.
+    triangular factor from Gram-Schmidt on the columns.  The last column
+    is zero and the first n - 1 are in echelon form, so that factor is the
+    R of one QR of those n - 1 columns with its rows scaled to a unit
+    diagonal.  A violation beyond ``slack`` signals an implementation bug,
+    so it raises.
     """
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValueError(f"theta must be square, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta contains non-finite entries")
     n = theta.shape[0]
     if n < 2:
         raise ValueError("n must be >= 2")
     if np.any(np.triu(theta) != 0.0):
         raise ValueError("theta must be strictly lower triangular")
     sub = np.diag(theta, -1)
-    if not np.allclose(sub, sub[0]) or sub[0] <= 0:
+    if not np.allclose(sub, sub[0], atol=0.0) or sub[0] <= 0:
         raise ValueError("sub-diagonal must be constant and positive")
     alpha = float(sub[0]) ** 2
 
-    _, t_gram = gram_schmidt_triangular(theta)
+    r = np.linalg.qr(theta[:, :-1], mode="r")
+    t_gram = r / np.diag(r)[:, None]
     sigma_max = float(np.linalg.norm(t_gram, 2))
 
     res = fmc_from_theta(theta, eps=eps, k_max=n - 1)
@@ -305,13 +277,15 @@ def _shift_chain_stats(x, alpha, unit_std, norms):
 
 
 def _ensemble(unit_std, norms):
-    return TransientStats(
-        t=np.arange(len(norms)),
-        unit_std_mean=unit_std.mean(axis=1),
-        unit_std_std=unit_std.std(axis=1),
-        norm_mean=norms.mean(axis=1),
-        norm_std=norms.std(axis=1),
-    )
+    """Summaries over the samples at each t; raises
+    :class:`DivergenceError` at the first t where one is not finite."""
+    summaries = np.array([unit_std.mean(axis=1), unit_std.std(axis=1),
+                          norms.mean(axis=1), norms.std(axis=1)])
+    bad = np.flatnonzero(~np.isfinite(summaries).all(axis=0))
+    if bad.size:
+        raise DivergenceError(
+            f"non-finite transient statistics at t = {bad[0]}")
+    return TransientStats(np.arange(len(norms)), *summaries)
 
 
 def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
@@ -323,19 +297,7 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     ``np.random.default_rng(rng_seed).normal(size=(n_samples, n))`` draw,
     each normalized.  The draw fills row by row, so sample s depends only
     on (seed, s, n): the first m samples are the same for any
-    ``n_samples >= m``.  Earlier versions gave each sample its own
-    ``SeedSequence([seed, s])`` stream, so a given seed now yields
-    different, statistically equivalent statistics.
-
-    The first step reads the normalized draw itself; from then on the
-    state is held unit-major in two reused C-ordered (n, n_samples)
-    buffers, and each step writes from one into the other.  Theta is lower
-    triangular, so leading units that are exactly zero in every sample
-    stay zero: each step acts only on the trailing live block, and
-    stepping stops once the whole state is zero (from t = n on when
-    d = 0), leaving the remaining statistics exactly 0.  For beta = 0
-    Theta is lower bidiagonal and the step is a shift, alpha * h[:-1]
-    plus d * h[1:]; otherwise it is one GEMM on the live block of Theta.
+    ``n_samples >= m``.
 
     For d = beta = 0, Theta = alpha * S with S the down-shift, and nothing
     is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units of the
@@ -344,27 +306,35 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     work in all.  From t = n on (and from t = 1 on when alpha = 0) the
     statistics are exactly 0.
 
-    The statistics equal those of a dense GEMM step to rounding; they are
-    not guaranteed bit for bit, since a BLAS may order or fuse the GEMM's
-    multiply-adds differently from the shift, and the prefix sums add in
-    another order than the per-step reductions.
+    Otherwise each step is one GEMM on the live block of Theta.  The first
+    step reads the normalized draw itself; from then on the state is held
+    unit-major in two reused C-ordered (n, n_samples) buffers, and each
+    step writes from one into the other.  Theta is lower triangular, so
+    leading units that are exactly zero in every sample stay zero: each
+    step acts only on the trailing live block, and stepping stops once the
+    whole state is zero (from t = n on when d = 0), leaving the remaining
+    statistics exactly 0.
+
+    The prefix sums equal a dense GEMM step to rounding, not bit for bit:
+    they add in another order than the per-step reductions.  Raises
+    :class:`DivergenceError` when a statistic overflows.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be >= 0")
-    n, d, alpha = cfg.n, cfg.d, cfg.alpha
+    n = cfg.n
     t_max = t_max if t_max is not None else 2 * n
-    theta = build_theta_family(cfg) if cfg.beta != 0 else None
 
     unit_std = np.zeros((t_max + 1, n_samples))
     norms = np.zeros((t_max + 1, n_samples))
     x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    if d == 0 and cfg.beta == 0:
-        _shift_chain_stats(x, alpha, unit_std, norms)
+    if cfg.d == 0 and cfg.beta == 0:
+        _shift_chain_stats(x, cfg.alpha, unit_std, norms)
         del x   # before the summaries' temporaries
         return _ensemble(unit_std, norms)
+    theta = build_theta_family(cfg)
     # The draw is the first state, read unit-major through its transposed
     # view (a GEMM takes that layout at no cost); the first step writes
     # into a C-ordered buffer, and the draw is freed before the second.
@@ -383,14 +353,7 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
         unit_std[t] = np.sqrt(np.maximum(sumsq / n - mean * mean, 0.0))
         if t == t_max:
             break
-        out = nxt[k:]
-        if theta is not None:
-            np.matmul(theta[k:, k:], h, out=out)
-        else:
-            # d != 0 here: d = beta = 0 took the prefix-sum branch
-            np.multiply(h[:-1], alpha, out=out[1:])
-            out[1:] += d * h[1:]
-            np.multiply(h[0], d, out=out[0])
+        np.matmul(theta[k:, k:], h, out=nxt[k:])
         cur, nxt = nxt, cur
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor

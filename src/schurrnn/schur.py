@@ -32,7 +32,8 @@ __all__ = [
 class DivergenceError(FloatingPointError):
     """A numerical failure: a rotation modulus gamma that is not > 0, an
     eigendecomposition of B^T B that fails, a non-finite hidden state or
-    loss, or a covariance series still growing at its term cap.
+    loss, a covariance series still growing at its term cap, or transient
+    ensemble statistics that overflow.
     ``records`` holds the training log records written before it."""
 
     def __init__(self, message, records=()):

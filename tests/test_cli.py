@@ -326,13 +326,38 @@ def test_fmc_empty_sweep(tmp_path):
 
 def test_props_default_grid(tmp_path):
     path = write_json(tmp_path / "props.json", {
-        "prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]})
+        "prop2": [{"n": 4, "t_max": 8}],
+        "prop1": [{"n": 6, "alpha": 1.0}, {"n": 8, "alpha": 1e-30}]})
     out = tmp_path / "props"
     assert cli.main(["props", "--config", path, "--out", str(out)]) == 0
     doc = json.loads((out / "prop2_00.json").read_text())
     assert doc["degree_ok"] and doc["ratio_ok"]
     doc1 = json.loads((out / "prop1_00.json").read_text())
     assert doc1["holds"]
+    # a tiny sub-diagonal still gives full-rank leading columns
+    doc2 = json.loads((out / "prop1_01.json").read_text())
+    assert doc2["holds"] and doc2["sigma_max"] == 1.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e200])
+def test_transients_overflow_exit_2_writes_nothing(tmp_path, beta):
+    # The overflow's RuntimeWarnings, which this suite turns into errors,
+    # print only in a child process.
+    path = write_json(tmp_path / "t.json", {"configs": [
+        {"n": 4, "alpha": 1.0},
+        {"n": 100, "d": 0.0, "alpha": 1e200, "beta": beta}]})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurrnn.cli", "transients", "--config",
+         path, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.rstrip().endswith(
+        "numerical failure: non-finite transient statistics at t = 1")
+    assert not out.exists()
 
 
 def test_transients_deterministic_bytes(tmp_path):

@@ -14,7 +14,6 @@ from schurrnn.memory import (
     delay_line_theta,
     fisher_memory_curve,
     fmc_from_theta,
-    gram_schmidt_triangular,
     prop1_bound_check,
     transient_ensemble,
 )
@@ -257,37 +256,6 @@ def test_d_positive_extends_memory():
     assert np.all(res.j_curve[12:] > 0.0)
 
 
-def test_gram_schmidt_reconstruction_and_unit_diagonal():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        theta = rng.normal(size=(7, 7))
-        q, t_gram = gram_schmidt_triangular(theta)
-        assert np.allclose(q @ t_gram, theta, atol=1e-12)
-        assert np.allclose(np.diag(t_gram), 1.0)
-        assert np.allclose(np.tril(t_gram, -1), 0.0)
-        # columns of q mutually orthogonal
-        g = q.T @ q
-        assert np.allclose(g - np.diag(np.diag(g)), 0.0, atol=1e-10)
-
-
-def test_gram_schmidt_drops_trailing_zero_columns():
-    theta = np.zeros((4, 4))
-    theta[1, 0] = 2.0
-    theta[2, 1] = 1.0
-    theta[3, 2] = 0.5
-    q, t_gram = gram_schmidt_triangular(theta)
-    assert t_gram.shape == (3, 3)
-    assert np.allclose(q @ t_gram, theta[:, :3])
-
-
-def test_gram_schmidt_rank_deficient_raises():
-    theta = np.ones((3, 3))
-    with pytest.raises(np.linalg.LinAlgError):
-        gram_schmidt_triangular(theta)
-    with pytest.raises(np.linalg.LinAlgError):
-        gram_schmidt_triangular(np.zeros((3, 3)))
-
-
 def test_prop1_delay_line_equality():
     for a in (0.9, 1.0, 1.1):
         rep = prop1_bound_check(delay_line_theta(10, a))
@@ -324,6 +292,35 @@ def test_prop1_input_validation():
         prop1_bound_check(th)
 
 
+def test_prop1_rejects_malformed_input():
+    with pytest.raises(ValueError, match="square"):
+        prop1_bound_check(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="square"):
+        prop1_bound_check(np.zeros(4))
+    th = delay_line_theta(4, 1.0)
+    th[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        prop1_bound_check(th)
+
+
+def test_prop1_rejects_tiny_nonconstant_subdiagonal():
+    # constant to numpy's default absolute tolerance of 1e-8, yet J(2) =
+    # 8.1e-35 lies below the bound 6.6e-33 that alpha = (9e-9)^2 gives
+    th = np.zeros((8, 8))
+    th[np.arange(1, 8), np.arange(7)] = [9e-9] + [1e-9] * 6
+    with pytest.raises(ValueError, match="constant"):
+        prop1_bound_check(th)
+
+
+@pytest.mark.parametrize("alpha", [1e-30, 1e-300])
+def test_prop1_tiny_alpha_delay_line_holds(alpha):
+    # columns 0..n-2 of a delay line are in echelon form, so they have
+    # full rank however small the sub-diagonal
+    rep = prop1_bound_check(delay_line_theta(8, alpha))
+    assert rep.holds
+    assert rep.sigma_max == 1.0
+
+
 def test_transient_nilpotent_cutoff():
     cfg = FmcConfig(n=20, d=0.0, alpha=1.05, beta=0.005)
     stats = transient_ensemble(cfg, n_samples=100, t_max=30, rng_seed=0)
@@ -343,6 +340,14 @@ def test_transient_shift_chain_exact_zeros(alpha, first_zero):
                  stats.norm_std):
         assert np.all(stat[first_zero:] == 0.0)
         assert np.all(stat[1:first_zero] > 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e200])
+def test_transient_overflow_raises(beta):
+    cfg = FmcConfig(n=100, d=0.0, alpha=1e200, beta=beta)
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match="non-finite transient statistics at t = 1$"):
+        transient_ensemble(cfg, n_samples=50, t_max=120)
 
 
 def test_transient_shift_monotone():
