@@ -18,6 +18,8 @@ import os
 import sys
 import typing
 
+import numpy as np
+
 from . import analysis, memory, propcheck, schur, tasks
 from .optim import DivergenceError, TrainConfig, train_loop, write_log_csv
 from .rnn import init_model
@@ -364,8 +366,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seed = (args.seed,) if "seed" in args else ()
 
+    # Overflow and NaN are reported by the library's own checks as one
+    # DivergenceError, without numpy's warnings ahead of it.
     try:
-        return _COMMANDS[args.command](args.config, args.out, *seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args.config, args.out, *seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

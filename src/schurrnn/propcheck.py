@@ -8,8 +8,10 @@ powers satisfy the recurrence
 
     p_k^{(t+1)}(x) = x * (1 + sum_{s<k} p_s^{(t)}(x)) + p_k^{(t)}(x).
 
-All of this is checked with arbitrary-precision integer arithmetic, so a
-failure is an implementation bug, not rounding.
+Each polynomial matrix is held as a stack of coefficient matrices of
+Python ints, layer l holding the coefficients of x^l, so all of this is
+checked with arbitrary-precision integer arithmetic and a failure is an
+implementation bug, not rounding.
 """
 
 import json
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-
-from .polymat import ONE, X, ZERO, PolyMat, poly_add, poly_degree, poly_mul
 
 __all__ = [
     "prop2_matrix",
@@ -28,15 +28,30 @@ __all__ = [
     "GrowthProbe",
 ]
 
+# iterate_growth_probe: the largest |log sigma| of a constant trace, and the
+# least ratio of log sigma at t_max to log sigma at t_max/2 that makes
+# growth exponential
+CONST_TOL = 1e-6
+GROWTH_RATIO = 1.6
+
 
 def prop2_matrix(n):
-    """Unit diagonal, x strictly above, zero below."""
+    """Unit diagonal, x strictly above, zero below: the (2, n, n) stack
+    [I, strictly-upper ones] of Python ints."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return PolyMat(
-        [[ONE if i == j else (X if j > i else ZERO) for j in range(n)]
-         for i in range(n)]
-    )
+    return np.array([np.eye(n, dtype=int), np.triu(np.ones((n, n), int), 1)],
+                    dtype=object)
+
+
+def _poly_matmul(a, b):
+    """Product of two square polynomial matrices held as coefficient
+    stacks."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=object)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai @ bj
+    return out
 
 
 @dataclass
@@ -77,18 +92,6 @@ class Prop2Report:
         )
 
 
-def _gap_polys(power, n):
-    """Entry (i, j) depends only on j - i; collect one polynomial per gap
-    after confirming that uniformity."""
-    polys = {}
-    for k in range(1, n):
-        vals = [power[i, i + k] for i in range(n - k)]
-        if any(v != vals[0] for v in vals[1:]):
-            raise AssertionError(f"gap-{k} entries are not uniform (bug)")
-        polys[k] = vals[0]
-    return polys
-
-
 def verify_prop2(n, t_max):
     """Exhaustively check degree, zero constant term, the power recurrence,
     and the bounded coefficient ratio coeff(x^l) / C(t, l) <= 2^k for all
@@ -99,54 +102,58 @@ def verify_prop2(n, t_max):
         raise ValueError("exact verification is budgeted for n <= 8, t <= 30")
     a = prop2_matrix(n)
     power = a
+    k = np.arange(n)[:, None]
     degree_ok = constant_ok = recurrence_ok = ratio_ok = True
     max_ratio = 0.0
     polynomials = {}
-    per_t = {}
     prev = None
     for t in range(1, t_max + 1):
-        gaps = _gap_polys(power, n)
-        per_t[t] = gaps
-        for k, p in gaps.items():
-            coeffs = list(p)
-            polynomials[(k, t)] = {
-                "degree": poly_degree(p),
+        # gaps[k, l]: coefficient of x^l in entry (i, i + k), which depends
+        # only on the gap k; power has t + 1 layers, so l = 0 ... t
+        gaps = []
+        for gap in range(n):
+            diag = np.diagonal(power, gap, axis1=1, axis2=2)
+            if np.any(diag != diag[:, :1]):
+                raise AssertionError(f"gap-{gap} entries are not uniform (bug)")
+            gaps.append(diag[:, 0])
+        gaps = np.array(gaps)
+        for gap in range(1, n):
+            coeffs = np.trim_zeros(gaps[gap], "b").tolist()
+            polynomials[(gap, t)] = {
+                "degree": len(coeffs) - 1,
                 "constant": coeffs[0] if coeffs else 0,
                 "coeffs": coeffs,
             }
-            if poly_degree(p) > k:
-                degree_ok = False
-            if coeffs and coeffs[0] != 0:
-                constant_ok = False
-            for l in range(1, len(coeffs)):
-                ratio = abs(coeffs[l]) / comb(t, l) if comb(t, l) else float("inf")
-                max_ratio = max(max_ratio, ratio)
-                if ratio > 2.0**k:
-                    ratio_ok = False
+        l = np.arange(t + 1)
+        degree_ok = degree_ok and not np.any((gaps != 0) & (l > k))
+        constant_ok = constant_ok and not np.any(gaps[1:, 0])
+        ratio = np.abs(gaps[1:, 1:]) / np.array([comb(t, j) for j in l[1:]],
+                                                dtype=object)
+        max_ratio = max(max_ratio, ratio.max())
+        ratio_ok = ratio_ok and not np.any(ratio > 2.0 ** k[1:])
         if prev is not None:
-            for k in range(1, n):
-                acc = ONE
-                for s in range(1, k):
-                    acc = poly_add(acc, prev[s])
-                expected = poly_add(poly_mul(X, acc), prev[k])
-                if expected != gaps[k]:
-                    recurrence_ok = False
+            # 1 + sum_{s<k} p_s is the cumulative sum over gaps 0 ... k-1,
+            # the diagonal being the constant 1; the factor x shifts it by
+            # one layer
+            expected = np.zeros_like(gaps)
+            expected[:, :-1] = prev
+            expected[1:, 1:] += np.cumsum(prev, axis=0)[:-1]
+            recurrence_ok = recurrence_ok and np.array_equal(expected, gaps)
         prev = gaps
-        power = power @ a
+        power = _poly_matmul(power, a)
 
     # log-log slope of coeff(x^l) against t for the largest gap present
     kmax = n - 1
     growth_slopes = {}
     for l in range(1, kmax + 1):
         ts, cs = [], []
-        for t in range(1, t_max + 1):
-            coeffs = per_t[t][kmax]
-            if l < len(coeffs) and coeffs[l] > 0 and t > 1:
+        for t in range(2, t_max + 1):
+            coeffs = polynomials[(kmax, t)]["coeffs"]
+            if l < len(coeffs) and coeffs[l] > 0:
                 ts.append(np.log(t))
                 cs.append(np.log(float(coeffs[l])))
         if len(ts) >= 2:
-            slope = float(np.polyfit(ts, cs, 1)[0])
-            growth_slopes[l] = slope
+            growth_slopes[l] = float(np.polyfit(ts, cs, 1)[0])
 
     return Prop2Report(
         n=n,
@@ -170,13 +177,14 @@ class GrowthProbe:
     stopped_early: bool
 
 
-def iterate_growth_probe(m, t_max=100, const_tol=1e-6, growth_ratio=1.6):
+def iterate_growth_probe(m, t_max=100):
     """Track sigma_max(m^t) and classify its growth.
 
-    Constant: log sigma stays within ``const_tol``.  Exponential: log sigma
-    roughly doubles between t_max/2 and t_max (linear in t).  Otherwise
-    polynomial, with the fitted log-log slope reported (degree cap n-1 for
-    triangular iterates).  Stops early on overflow.
+    Constant: log sigma stays within ``CONST_TOL``.  Exponential: the
+    iterates overflow, or log sigma grows by ``GROWTH_RATIO`` or more
+    between t_max/2 and t_max (linear in t).  Otherwise polynomial, with the
+    fitted log-log slope reported (degree cap n-1 for triangular iterates).
+    Stops early on overflow.
     """
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
@@ -198,13 +206,16 @@ def iterate_growth_probe(m, t_max=100, const_tol=1e-6, growth_ratio=1.6):
     tail = slice(half, None)
     slope = float(np.polyfit(np.log(ts[tail]), logs[tail], 1)[0]) if len(ts) > 3 else 0.0
 
-    if np.max(np.abs(logs)) <= const_tol:
+    # an overflow may come at t = 1, before any log sigma
+    if stopped:
+        label = "exponential"
+    elif np.max(np.abs(logs)) <= CONST_TOL:
         label = "constant"
     else:
         l_half = logs[half - 1] if half >= 1 else logs[0]
         l_end = logs[-1]
-        if stopped or (abs(l_half) > 1e-12 and l_end / l_half >= growth_ratio
-                       and l_end > 0):
+        if (abs(l_half) > 1e-12 and l_end / l_half >= GROWTH_RATIO
+                and l_end > 0):
             label = "exponential"
         else:
             label = "polynomial"

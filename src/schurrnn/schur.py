@@ -291,25 +291,21 @@ def init_params(n, scheme="henaff", rng_seed=0):
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n // 2)
 
     scheme = scheme.lower()
-    b = np.zeros((n, n))
-    if scheme == "henaff":
-        s = rng.uniform(-np.pi, np.pi, size=n // 2)
-        for i in range(n // 2):
-            b[2 * i + 1, 2 * i] = s[i]
-        b = _skew_from_lower(np.tril(b, -1))
-    elif scheme == "cayley":
-        u = rng.uniform(0.0, 0.5, size=n // 2)
-        v = rng.uniform(-1.0, 1.0, size=n // 2)
-        s = np.sqrt(u / (1.0 - u)) * np.sign(v)
-        s = np.clip(s, -np.pi, np.pi)
-        for i in range(n // 2):
-            b[2 * i + 1, 2 * i] = s[i]
-        b = _skew_from_lower(np.tril(b, -1))
-    elif scheme == "random_orth":
-        g = rng.normal(size=(n, n)) / np.sqrt(n)
-        b = _skew_from_lower(np.tril(g, -1))
+    if scheme == "random_orth":
+        b = np.tril(rng.normal(size=(n, n)) / np.sqrt(n), -1)
     else:
-        raise ValueError(f"unknown init scheme {scheme!r}")
+        if scheme == "henaff":
+            s = rng.uniform(-np.pi, np.pi, size=n // 2)
+        elif scheme == "cayley":
+            u = rng.uniform(0.0, 0.5, size=n // 2)
+            v = rng.uniform(-1.0, 1.0, size=n // 2)
+            s = np.clip(np.sqrt(u / (1.0 - u)) * np.sign(v), -np.pi, np.pi)
+        else:
+            raise ValueError(f"unknown init scheme {scheme!r}")
+        b = np.zeros((n, n))
+        odd = np.arange(1, n, 2)
+        b[odd, odd - 1] = s
+    b = _skew_from_lower(b)
 
     return SchurParams(
         n=n,

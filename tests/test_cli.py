@@ -244,24 +244,20 @@ def test_train_divergence_exit_2_keeps_log(tmp_path, monkeypatch, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
-def test_train_eigh_failure_exit_2_keeps_log(tmp_path):
+def test_train_eigh_failure_exit_2_keeps_log(tmp_path, capsys):
     # lr_orth = 1e300 makes B overflow at the first step, so eigh fails in
-    # assemble_v at update 2.  The overflow's RuntimeWarning, which this
-    # suite turns into an error, prints only in a child process.
+    # assemble_v at update 2.  The failure is one line: no numpy warning
+    # (an error in this suite) comes before it.
     path = train_config(tmp_path, train={
         "max_updates": 15, "log_every": 1, "batch_size": 4,
         "lr_orth": 1e300})
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "schurrnn.cli", "train", "--config", path,
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "numerical failure: eigh of B^T B failed" in proc.stderr
-    assert proc.stderr.rstrip().endswith("at update 2")
+    code = cli.main(["train", "--config", path, "--out", str(out)])
+    assert code == 2
+    # the middle of the line is LAPACK's reason, worded by numpy
+    [line] = capsys.readouterr().err.splitlines(keepends=True)
+    assert line.startswith("numerical failure: eigh of B^T B failed")
+    assert line.endswith(" at update 2\n")
     rows = list(csv.reader((out / "train_log.csv").open()))
     assert [r[0] for r in rows] == ["update", "1"]
     assert not (out / "checkpoint.json").exists()
@@ -340,23 +336,17 @@ def test_props_default_grid(tmp_path):
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e200])
-def test_transients_overflow_exit_2_writes_nothing(tmp_path, beta):
-    # The overflow's RuntimeWarnings, which this suite turns into errors,
-    # print only in a child process.
+def test_transients_overflow_exit_2_writes_nothing(tmp_path, capsys, beta):
+    # The failure is one line: no numpy warning (an error in this suite)
+    # comes before it.
     path = write_json(tmp_path / "t.json", {"configs": [
         {"n": 4, "alpha": 1.0},
         {"n": 100, "d": 0.0, "alpha": 1e200, "beta": beta}]})
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "schurrnn.cli", "transients", "--config",
-         path, "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.rstrip().endswith(
-        "numerical failure: non-finite transient statistics at t = 1")
+    code = cli.main(["transients", "--config", path, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite transient statistics at t = 1\n")
     assert not out.exists()
 
 

@@ -3,40 +3,61 @@ from math import comb
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
 from schurrnn.propcheck import (
+    _poly_matmul,
     iterate_growth_probe,
     prop2_matrix,
     verify_prop2,
 )
 
-from polymat_oracle import eval_float, polymat_power
-
 
 def test_prop2_matrix_layout():
     a = prop2_matrix(3)
-    assert a[0, 0] == (1,)
-    assert a[0, 1] == (0, 1)
-    assert a[2, 0] == ()
+    assert a.shape == (2, 3, 3) and a.dtype == object
+    assert a.tolist() == [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          [[0, 1, 1], [0, 0, 1], [0, 0, 0]]]
+    assert all(type(c) is int for c in a.flat)
     with pytest.raises(ValueError):
         prop2_matrix(1)
 
 
 def test_prop2_small_power_by_hand():
     # [[1, x], [0, 1]]^t has (0,1) entry t*x
-    a = prop2_matrix(2)
-    for t in (1, 2, 7):
-        at = polymat_power(a, t)
-        assert at[0, 1] == (0, t)
+    rep = verify_prop2(2, 7)
+    for t in range(1, 8):
+        assert rep.polynomials[(1, t)]["coeffs"] == [0, t]
 
 
 def test_prop2_entries_match_float_powers():
-    a = prop2_matrix(5)
-    dense = eval_float(a, 0.37)
-    a4 = polymat_power(a, 4)
-    assert np.allclose(eval_float(a4, 0.37), np.linalg.matrix_power(dense, 4),
-                       rtol=1e-12)
+    n, x = 5, 0.37
+    dense = np.eye(n) + x * np.triu(np.ones((n, n)), 1)
+    rep = verify_prop2(n, 6)
+    for t in range(1, 7):
+        got = np.eye(n)
+        for k in range(1, n):
+            coeffs = rep.polynomials[(k, t)]["coeffs"]
+            got += polyval(x, coeffs) * np.eye(n, k=k)
+        assert np.allclose(got, np.linalg.matrix_power(dense, t), rtol=1e-12)
+
+
+def test_poly_matmul_matches_float_evaluation():
+    # a matrix that is not triangular, so no product term vanishes
+    rng = np.random.default_rng(0)
+    a = np.array([[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                  [[0, 1, 0], [0, 0, 1], [1, 0, 0]]], dtype=object)
+    for t in (1, 2, 5):
+        at = a
+        for _ in range(t - 1):
+            at = _poly_matmul(at, a)
+        assert len(at) == t + 1
+        for x in rng.uniform(-1.0, 1.0, size=3):
+            dense = polyval(x, a.astype(float))
+            expected = np.linalg.matrix_power(dense, t)
+            assert np.allclose(polyval(x, at.astype(float)), expected,
+                               atol=1e-10)
 
 
 def test_verify_prop2_all_checks_pass():
@@ -63,6 +84,19 @@ def test_verify_prop2_known_coefficients():
         rec = rep.polynomials[(2, t)]
         assert rec["coeffs"][1] == comb(t, 1) * 1  # single-step jump count t
         assert rec["coeffs"][2] == comb(t + 1, 2) - t  # two-step compositions
+
+
+def test_verify_prop2_closed_form_coefficients():
+    # entry (i, i + k) of (I + xU)^t, U the strictly upper ones, sums
+    # C(t, l) x^l (U^l)[i, i + k]; U^l counts the C(k - 1, l - 1) ways to
+    # split the gap k into l positive steps
+    rep = verify_prop2(8, 30)
+    for k in range(1, 8):
+        for t in range(1, 31):
+            coeffs = rep.polynomials[(k, t)]["coeffs"]
+            assert coeffs == [0] + [comb(t, l) * comb(k - 1, l - 1)
+                                    for l in range(1, min(k, t) + 1)]
+            assert all(type(c) is int for c in coeffs)
 
 
 def test_verify_prop2_budget():
@@ -114,3 +148,8 @@ def test_growth_probe_overflow_flagged_exponential():
     probe = iterate_growth_probe(np.eye(3) * 40.0, t_max=200)
     assert probe.stopped_early
     assert probe.label == "exponential"
+    # overflow at the first power leaves no sigma to read
+    probe = iterate_growth_probe(np.eye(3) * 1e200)
+    assert probe.stopped_early
+    assert probe.label == "exponential"
+    assert probe.t.size == 0
