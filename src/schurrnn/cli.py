@@ -163,8 +163,8 @@ def cmd_train(config_path, out_dir, seed_override):
                    {"task": dict, "model": dict, "train": dict, "seed": int},
                    {"task", "model"}, "config")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    model_doc = _checked(doc["model"], {"n": int, "cell_kind": str,
-                                        "scheme": str}, {"n"}, "model")
+    model_doc = _checked(doc["model"], {"n": int, "scheme": str}, {"n"},
+                         "model")
     scheme = model_doc.get("scheme", "henaff")
     config = _from_doc(TrainConfig, doc.get("train", {}), "train")
 
@@ -174,7 +174,6 @@ def cmd_train(config_path, out_dir, seed_override):
             n=model_doc["n"],
             d_in=d_in,
             d_out=d_out,
-            cell_kind=model_doc.get("cell_kind", "schur"),
             scheme=scheme,
             seed=seed,
         )
@@ -189,12 +188,11 @@ def cmd_train(config_path, out_dir, seed_override):
         write_log_csv(exc.records, log_path)
         raise
     write_log_csv(result.records, log_path)
-    if model.cell_kind == "schur":
-        schur.save_checkpoint(
-            model.schur, os.path.join(out_dir, "checkpoint.json"),
-            scheme=scheme, seed=seed,
-        )
-        _write_report(model.schur, out_dir)
+    schur.save_checkpoint(
+        model.schur, os.path.join(out_dir, "checkpoint.json"),
+        scheme=scheme, seed=seed,
+    )
+    _write_report(model.schur, out_dir)
     return 0
 
 
@@ -210,14 +208,14 @@ def cmd_fmc(config_path, out_dir):
 
     os.makedirs(out_dir, exist_ok=True)
     summary = []
-    worst = 0
+    failure = None
     for i, cfg in enumerate(configs):
         try:
             res = memory.fisher_memory_curve(cfg)
-        except DivergenceError:
+        except DivergenceError as exc:
             summary.append([i, cfg.n, repr(cfg.d), repr(cfg.alpha),
                             repr(cfg.beta), "", "diverged"])
-            worst = 2
+            failure = failure or f"sweep[{i}]: {exc}"
             continue
         _write_csv(
             os.path.join(out_dir, f"fmc_{i:02d}.csv"),
@@ -231,7 +229,10 @@ def cmd_fmc(config_path, out_dir):
         ["row", "n", "d", "alpha", "beta", "j_tot", "status"],
         summary,
     )
-    return worst
+    # The good rows are written; the first diverged row names the failure.
+    if failure:
+        raise DivergenceError(failure)
+    return 0
 
 
 # --- transients ---------------------------------------------------------------

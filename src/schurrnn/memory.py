@@ -165,13 +165,16 @@ def fisher_memory_curve(cfg):
 
 def delay_line_fmc_closed_form(alpha, k):
     """J(k) = alpha^k (alpha - 1) / (alpha^{k+1} - 1); the alpha = 1 limit
-    is 1 / (k + 1)."""
+    is 1 / (k + 1).  For alpha > 1 it is computed as
+    (1 - 1/alpha) / (1 - alpha^-(k+1)), which cannot overflow."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if k < 0:
         raise ValueError("k must be >= 0")
     if abs(alpha - 1.0) < 1e-13:
         return 1.0 / (k + 1)
+    if alpha > 1.0:
+        return (1.0 - 1.0 / alpha) / (1.0 - alpha ** -(k + 1))
     return alpha**k * (alpha - 1.0) / (alpha ** (k + 1) - 1.0)
 
 

@@ -105,8 +105,9 @@ def train_loop(model, stream, config):
     """
     clamped = config.gamma_mode == "clamped"
     delta = config.delta if config.gamma_mode == "regularized" else 0.0
-    if model.cell_kind == "schur" and clamped:
-        model.schur.gamma[:] = config.gamma_clamp
+    p = model.schur
+    if clamped:
+        p.gamma[:] = config.gamma_clamp
 
     rms = {}  # running mean of squared gradients per parameter tensor
     records = []
@@ -127,27 +128,21 @@ def train_loop(model, stream, config):
         last_hidden = fwd.final_hidden
 
         task_loss = fwd.loss
-        reg_loss = 0.0
         # (owner, attribute, gradient, learning rate) for every tensor
         # RMSprop updates.
         table = [(model, name, getattr(grads, name), config.lr)
                  for name in ("u_in", "b_hidden", "w_out", "b_out")]
-
-        if model.cell_kind == "schur":
-            p = model.schur
-            reg_loss, g_gamma_reg, g_t_reg = regularizer_loss_and_grads(
-                p, delta, config.t_decay
-            )
-            sg = grads.schur
-            sg.t_lower = sg.t_lower + g_t_reg
-            if not clamped:
-                sg.gamma = sg.gamma + g_gamma_reg
-                table.append((p, "gamma", sg.gamma, config.lr))
-            table += [(p, "theta", sg.theta, config.lr),
-                      (p, "t_lower", sg.t_lower, config.lr),
-                      (p, "b_skew", sg.b_skew, config.lr_orth)]
-        else:
-            table.append((model, "v_dense", grads.v, config.lr))
+        reg_loss, g_gamma_reg, g_t_reg = regularizer_loss_and_grads(
+            p, delta, config.t_decay
+        )
+        sg = grads.schur
+        sg.t_lower = sg.t_lower + g_t_reg
+        if not clamped:
+            sg.gamma = sg.gamma + g_gamma_reg
+            table.append((p, "gamma", sg.gamma, config.lr))
+        table += [(p, "theta", sg.theta, config.lr),
+                  (p, "t_lower", sg.t_lower, config.lr),
+                  (p, "b_skew", sg.b_skew, config.lr_orth)]
 
         for owner, name, grad, lr in table:
             new, rms[name] = rmsprop_step(
@@ -160,26 +155,18 @@ def train_loop(model, stream, config):
             raise DivergenceError(f"non-finite loss at update {update}", records)
 
         if config.log_every and update % config.log_every == 0:
-            if model.cell_kind == "schur":
-                big_p = fwd.schur_cache.p
-                orth_err = float(np.linalg.norm(big_p.T @ big_p - np.eye(model.n)))
-                mean_gamma = float(np.mean(model.schur.gamma))
-                t_fro = float(np.linalg.norm(model.schur.t_lower))
-            else:
-                orth_err = float("nan")
-                mean_gamma = float("nan")
-                t_fro = float("nan")
-            rec = LogRecord(
+            big_p = fwd.schur_cache.p
+            orth = big_p.T @ big_p - np.eye(model.n)
+            records.append(LogRecord(
                 update=update,
                 loss=total,
                 task_loss=task_loss,
                 reg_loss=reg_loss,
-                mean_gamma=mean_gamma,
-                t_fro=t_fro,
-                orth_err=orth_err,
+                mean_gamma=float(np.mean(p.gamma)),
+                t_fro=float(np.linalg.norm(p.t_lower)),
+                orth_err=float(np.linalg.norm(orth)),
                 grad_norm_total=_grad_norm(g for _, _, g, _ in table),
-            )
-            records.append(rec)
+            ))
 
     return TrainResult(records=records, model=model, final_hidden=last_hidden)
 

@@ -173,6 +173,7 @@ class GrowthProbe:
     t: np.ndarray
     sigma_max: np.ndarray
     label: str              # "constant" | "polynomial" | "exponential"
+                            # | "nilpotent" (some power is exactly zero)
     loglog_slope: float
     stopped_early: bool
 
@@ -184,17 +185,21 @@ def iterate_growth_probe(m, t_max=100):
     iterates overflow, or log sigma grows by ``GROWTH_RATIO`` or more
     between t_max/2 and t_max (linear in t).  Otherwise polynomial, with the
     fitted log-log slope reported (degree cap n-1 for triangular iterates).
-    Stops early on overflow.
+    Nilpotent: some power is exactly zero; the trace ends before it.
+    Stops early on overflow or a zero power.
     """
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
     power = np.eye(n)
     ts, sig = [], []
-    stopped = False
+    stopped = vanished = False
     for t in range(1, t_max + 1):
         power = power @ m
         if not np.all(np.isfinite(power)) or np.abs(power).max() > 1e150:
             stopped = True
+            break
+        if not power.any():
+            stopped = vanished = True
             break
         ts.append(t)
         sig.append(float(np.linalg.norm(power, 2)))
@@ -206,8 +211,10 @@ def iterate_growth_probe(m, t_max=100):
     tail = slice(half, None)
     slope = float(np.polyfit(np.log(ts[tail]), logs[tail], 1)[0]) if len(ts) > 3 else 0.0
 
-    # an overflow may come at t = 1, before any log sigma
-    if stopped:
+    # an overflow or a zero power may come at t = 1, before any log sigma
+    if vanished:
+        label = "nilpotent"
+    elif stopped:
         label = "exponential"
     elif np.max(np.abs(logs)) <= CONST_TOL:
         label = "constant"

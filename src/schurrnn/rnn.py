@@ -1,9 +1,9 @@
 """Recurrent cells, sequence forward pass, and full backpropagation
 through time.
 
-Two cell kinds share the machinery: the Schur-parametrized cell (V comes
-from :func:`schurrnn.schur.assemble_v`) and an unconstrained vanilla RNN
-baseline with a dense V.  The one nonlinearity is modReLU, which is the
+The one cell is the Schur-parametrized cell: V comes from
+:func:`schurrnn.schur.assemble_v`, and the orthogonal RNN is its special
+case T = 0, gamma = 1.  The one nonlinearity is modReLU, which is the
 identity at zero bias, the value a fresh model starts from.
 """
 
@@ -88,21 +88,11 @@ def rnn_backward(v, h, dpre):
 
 @dataclass
 class RnnModel:
-    cell_kind: str  # "schur" or "vanilla"
     u_in: np.ndarray       # (n, d_in)
     b_hidden: np.ndarray   # (n,) modReLU bias
     w_out: np.ndarray      # (d_out, n)
     b_out: np.ndarray      # (d_out,)
-    schur: Optional[SchurParams] = None
-    v_dense: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.cell_kind not in ("schur", "vanilla"):
-            raise ValueError(f"unknown cell kind {self.cell_kind!r}")
-        if self.cell_kind == "schur" and self.schur is None:
-            raise ValueError("schur cell requires SchurParams")
-        if self.cell_kind == "vanilla" and self.v_dense is None:
-            raise ValueError("vanilla cell requires a dense V")
+    schur: SchurParams     # the recurrent matrix V = P (Lambda + T) P^T
 
     @property
     def n(self):
@@ -140,7 +130,7 @@ class ModelGrads:
     w_out: np.ndarray
     b_out: np.ndarray
     v: np.ndarray
-    schur: Optional[SchurParamGrads] = None
+    schur: SchurParamGrads
 
 
 @dataclass
@@ -151,41 +141,27 @@ class ForwardResult:
     loss: float
     final_hidden: np.ndarray    # (B, n)
     v: np.ndarray
-    schur_cache: Optional[SchurCache] = None
+    schur_cache: SchurCache
     n_scored: int = 0
 
 
 def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0):
     """Fresh model.  modReLU bias starts at zero so the activation is the
     identity at initialization; input/output maps use Glorot scaling."""
+    # perfbench/worker.py calls init_model(..., cell_kind="schur", ...);
+    # the keyword stays only for that call until ROADMAP item 1 drops it.
+    if cell_kind != "schur":
+        raise ValueError(f"unknown cell kind {cell_kind!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     lim_in = np.sqrt(6.0 / (n + d_in))
     lim_out = np.sqrt(6.0 / (n + d_out))
-    u_in = rng.uniform(-lim_in, lim_in, size=(n, d_in))
-    w_out = rng.uniform(-lim_out, lim_out, size=(d_out, n))
-    params = None
-    v_dense = None
-    if cell_kind == "schur":
-        params = schur_mod.init_params(n, scheme=scheme, rng_seed=seed)
-    else:
-        v_dense = rng.normal(0.0, np.sqrt(2.0 / (2 * n)), size=(n, n))
     return RnnModel(
-        cell_kind=cell_kind,
-        u_in=u_in,
+        u_in=rng.uniform(-lim_in, lim_in, size=(n, d_in)),
         b_hidden=np.zeros(n),
-        w_out=w_out,
+        w_out=rng.uniform(-lim_out, lim_out, size=(d_out, n)),
         b_out=np.zeros(d_out),
-        schur=params,
-        v_dense=v_dense,
+        schur=schur_mod.init_params(n, scheme=scheme, rng_seed=seed),
     )
-
-
-def _resolve_v(model):
-    """(V, schur cache) for this step.  For the Schur cell V is assembled
-    once per optimizer step and reused by forward and backward."""
-    if model.cell_kind == "vanilla":
-        return model.v_dense, None
-    return schur_mod.assemble_v(model.schur)
 
 
 def _input_rows(batch, d_in):
@@ -217,7 +193,8 @@ def forward(model, batch):
     ids = batch.inputs.T if batch.inputs.ndim == 2 else None
     if ids is not None and ids.size and (ids.min() < 0 or ids.max() >= d_in):
         raise ValueError(f"input ids must lie in [0, {d_in})")
-    vv, cache = _resolve_v(model)
+    # V is assembled once per optimizer step; bptt reuses it and the cache.
+    vv, cache = schur_mod.assemble_v(model.schur)
     b, t_len = batch.inputs.shape[:2]
     n = model.n
 
@@ -263,9 +240,8 @@ def forward(model, batch):
 def bptt(model, batch, fwd=None):
     """Exact reverse-mode gradients for all model parameters.
 
-    For the Schur cell the gradient on V is mapped back through the
-    parametrization.  The modReLU subgradient at the kink takes the zero
-    branch.
+    The gradient on V is mapped back through the Schur parametrization.
+    The modReLU subgradient at the kink takes the zero branch.
     """
     if fwd is None:
         fwd = forward(model, batch)
@@ -287,14 +263,11 @@ def bptt(model, batch, fwd=None):
     dv, dbias = rnn_backward(fwd.v, h, dpre)
     du_in = dpre.reshape(-1, n).T @ _input_rows(batch, model.u_in.shape[1])
 
-    schur_grads = None
-    if model.cell_kind == "schur":
-        schur_grads = schur_mod.backward_v(model.schur, dv, fwd.schur_cache)
     return ModelGrads(
         u_in=du_in,
         b_hidden=dbias,
         w_out=dw_out,
         b_out=db_out,
         v=dv,
-        schur=schur_grads,
+        schur=schur_mod.backward_v(model.schur, dv, fwd.schur_cache),
     )

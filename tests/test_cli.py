@@ -83,7 +83,7 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"model": {"n": 7}},
     {"model": {"n": 8, "scheme": "bogus"}},
     {"task": {"kind": "copy", "delay": 0}},
-    {"model": {"n": 8, "cell_kind": "bogus"}},
+    {"model": {"n": 8, "cell_kind": "schur"}},   # an unknown key
     {"seed": "abc"},
     {"train": {"batch_size": 4.5}},
     {"train": {"max_updates": 2.5}},
@@ -299,17 +299,22 @@ def test_fmc_bundled_sweep(tmp_path):
         ["fmc_summary.csv"] + [f"fmc_{i:02d}.csv" for i in range(12)])
 
 
-def test_fmc_diverged_row_exit_2_keeps_good_rows(tmp_path):
+def test_fmc_diverged_row_exit_2_keeps_good_rows(tmp_path, capsys):
     path = write_json(tmp_path / "sweep.json", {"sweep": [
         {"n": 4, "alpha": 1.0},
         {"n": 2, "d": 0.99, "alpha": 1e6},
+        {"n": 10, "alpha": 1e300},
     ]})
     out = tmp_path / "out"
     assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 2
     rows = list(csv.reader((out / "fmc_summary.csv").open()))
-    assert [r[6] for r in rows[1:]] == ["ok", "diverged"]
-    assert rows[2][5] == ""
+    assert [r[6] for r in rows[1:]] == ["ok", "diverged", "diverged"]
+    assert rows[2][5] == rows[3][5] == ""
     assert sorted(os.listdir(out)) == ["fmc_00.csv", "fmc_summary.csv"]
+    # one line, naming the first diverged row
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: sweep[1]: ")
 
 
 def test_fmc_empty_sweep(tmp_path):
@@ -323,7 +328,8 @@ def test_fmc_empty_sweep(tmp_path):
 def test_props_default_grid(tmp_path):
     path = write_json(tmp_path / "props.json", {
         "prop2": [{"n": 4, "t_max": 8}],
-        "prop1": [{"n": 6, "alpha": 1.0}, {"n": 8, "alpha": 1e-30}]})
+        "prop1": [{"n": 6, "alpha": 1.0}, {"n": 8, "alpha": 1e-30},
+                  {"n": 2, "alpha": 1e300}]})
     out = tmp_path / "props"
     assert cli.main(["props", "--config", path, "--out", str(out)]) == 0
     doc = json.loads((out / "prop2_00.json").read_text())
@@ -333,6 +339,9 @@ def test_props_default_grid(tmp_path):
     # a tiny sub-diagonal still gives full-rank leading columns
     doc2 = json.loads((out / "prop1_01.json").read_text())
     assert doc2["holds"] and doc2["sigma_max"] == 1.0
+    # a huge alpha: the closed-form bound does not overflow
+    doc3 = json.loads((out / "prop1_02.json").read_text())
+    assert doc3["holds"] and doc3["bound"] == doc3["j_curve"] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e200])

@@ -236,6 +236,19 @@ def test_delay_line_closed_form_values():
         delay_line_fmc_closed_form(1.0, -1)
 
 
+def test_delay_line_closed_form_overflow_free():
+    """For alpha > 1 the closed form is (1 - 1/alpha) / (1 - alpha^-(k+1)),
+    the textbook alpha^k (alpha - 1) / (alpha^{k+1} - 1) divided through
+    by alpha^{k+1}: the two agree where the textbook form is finite, and
+    the new one stays finite where it overflows."""
+    for a in np.geomspace(1.0001, 10.0, 25):
+        for k in range(100):
+            ref = a**k * (a - 1.0) / (a ** (k + 1) - 1.0)
+            got = delay_line_fmc_closed_form(a, k)
+            assert abs(got - ref) <= 1e-12 * ref, (a, k)
+    assert [delay_line_fmc_closed_form(1e300, k) for k in range(3)] == [1.0] * 3
+
+
 def test_delay_line_fmc_matches_closed_form():
     for a in (0.95, 1.0, 1.05):
         res = fmc_from_theta(delay_line_theta(50, a))

@@ -153,3 +153,20 @@ def test_growth_probe_overflow_flagged_exponential():
     assert probe.stopped_early
     assert probe.label == "exponential"
     assert probe.t.size == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m,t_len", [
+    (np.triu(np.ones((3, 3)), 1), 2),
+    (np.zeros((3, 3)), 0),
+    (np.diag(np.full(5, 0.5), -1), 5),
+], ids=["strictly_upper", "zero", "shift"])
+def test_growth_probe_nilpotent(m, t_len):
+    # the trace ends before the first power that is exactly zero, so no
+    # log of zero is taken
+    probe = iterate_growth_probe(m, t_max=10)
+    assert probe.label == "nilpotent"
+    assert probe.stopped_early
+    assert probe.t.tolist() == list(range(1, t_len + 1))
+    assert np.all(probe.sigma_max > 0.0)
+    assert np.isfinite(probe.loglog_slope)

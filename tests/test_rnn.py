@@ -85,21 +85,29 @@ def test_forward_isometry_with_orthogonal_v():
     assert np.allclose(norms, norms[0], atol=1e-10)
 
 
+def test_init_model_cell_kind_keyword():
+    """The benchmark worker calls init_model(..., cell_kind="schur", ...);
+    that keyword builds the same model as none, and no other kind exists."""
+    model = init_model(8, 3, 5, cell_kind="schur", scheme="cayley", seed=3)
+    ref = init_model(8, 3, 5, scheme="cayley", seed=3)
+    for name in ("u_in", "b_hidden", "w_out", "b_out"):
+        assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.array_equal(getattr(model.schur, name),
+                              getattr(ref.schur, name)), name
+    with pytest.raises(ValueError, match="vanilla"):
+        init_model(8, 3, 5, cell_kind="vanilla", scheme="henaff", seed=0)
+
+
 def test_forward_nilpotent_collapse():
     """Strictly-lower-triangular V at zero bias, where modReLU is the
     identity, zeroes the state after n steps."""
-    model = init_model(6, 2, 2, cell_kind="vanilla", seed=0)
-    model.v_dense = np.tril(np.ones((6, 6)), -1)
+    v = np.tril(np.ones((6, 6)), -1)
     rng = np.random.default_rng(2)
-    batch = SequenceBatch(
-        inputs=np.zeros((3, 8, 2)),
-        targets=np.zeros((3, 8), dtype=np.int64),
-        score_mask=np.zeros((3, 8), dtype=bool),
-        h0=rng.normal(size=(3, 6)),
-    )
-    fwd = forward(model, batch)
-    assert np.all(fwd.hidden[6:] == 0.0)
-    assert np.any(fwd.hidden[5] != 0.0)
+    h = trace(np.zeros((8, 3, 6)), rng.normal(size=(3, 6)))
+    rnn_forward(v, h, np.zeros(6))
+    assert np.all(h[6:] == 0.0)
+    assert np.any(h[5] != 0.0)
 
 
 def test_loss_uniform_logits():
@@ -193,10 +201,9 @@ def test_bptt_leaves_forward_result_reusable():
                               getattr(second.schur, name)), name
 
 
-@pytest.mark.parametrize("cell_kind", ["schur", "vanilla"])
-def test_bptt_finite_differences(cell_kind):
+def test_bptt_finite_differences():
     n, d_in, d_out, t_len, b = 6, 3, 4, 5, 2
-    model = init_model(n, d_in, d_out, cell_kind=cell_kind, seed=5)
+    model = init_model(n, d_in, d_out, seed=5)
     rng = np.random.default_rng(6)
     model.b_hidden = rng.normal(size=n) * 0.1
     batch = random_batch(b, t_len, d_in, d_out, seed=7)
@@ -224,34 +231,31 @@ def test_bptt_finite_differences(cell_kind):
     check(model.b_hidden, grads.b_hidden, "b_hidden")
     check(model.w_out, grads.w_out, "w_out")
     check(model.b_out, grads.b_out, "b_out")
-    if cell_kind == "vanilla":
-        check(model.v_dense, grads.v, "v_dense")
-    else:
-        p = model.schur
-        check(p.gamma, grads.schur.gamma, "gamma")
-        check(p.theta, grads.schur.theta, "theta")
-        mask = t_lower_mask(n)
-        for i, j in list(zip(*np.where(mask)))[:6]:
-            orig = p.t_lower[i, j]
-            p.t_lower[i, j] = orig + eps
-            lp = loss()
-            p.t_lower[i, j] = orig - eps
-            lm = loss()
-            p.t_lower[i, j] = orig
-            num = (lp - lm) / (2 * eps)
-            assert abs(num - grads.schur.t_lower[i, j]) <= 1e-5 * max(1.0, abs(num))
-        for i, j in list(zip(*np.where(np.tril(np.ones((n, n), bool), -1))))[:6]:
-            orig = p.b_skew[i, j]
-            p.b_skew[i, j] = orig + eps
-            p.b_skew[j, i] = -(orig + eps)
-            lp = loss()
-            p.b_skew[i, j] = orig - eps
-            p.b_skew[j, i] = -(orig - eps)
-            lm = loss()
-            p.b_skew[i, j] = orig
-            p.b_skew[j, i] = -orig
-            num = (lp - lm) / (2 * eps)
-            assert abs(num - grads.schur.b_skew[i, j]) <= 1e-5 * max(1.0, abs(num))
+    p = model.schur
+    check(p.gamma, grads.schur.gamma, "gamma")
+    check(p.theta, grads.schur.theta, "theta")
+    mask = t_lower_mask(n)
+    for i, j in list(zip(*np.where(mask)))[:6]:
+        orig = p.t_lower[i, j]
+        p.t_lower[i, j] = orig + eps
+        lp = loss()
+        p.t_lower[i, j] = orig - eps
+        lm = loss()
+        p.t_lower[i, j] = orig
+        num = (lp - lm) / (2 * eps)
+        assert abs(num - grads.schur.t_lower[i, j]) <= 1e-5 * max(1.0, abs(num))
+    for i, j in list(zip(*np.where(np.tril(np.ones((n, n), bool), -1))))[:6]:
+        orig = p.b_skew[i, j]
+        p.b_skew[i, j] = orig + eps
+        p.b_skew[j, i] = -(orig + eps)
+        lp = loss()
+        p.b_skew[i, j] = orig - eps
+        p.b_skew[j, i] = -(orig - eps)
+        lm = loss()
+        p.b_skew[i, j] = orig
+        p.b_skew[j, i] = -orig
+        num = (lp - lm) / (2 * eps)
+        assert abs(num - grads.schur.b_skew[i, j]) <= 1e-5 * max(1.0, abs(num))
 
 
 def trace(pre, h0):
@@ -513,8 +517,9 @@ def test_bptt_allocation_budget(b, t_len, n, d_in, d_out, budget):
 
 
 def test_non_finite_hidden_raises():
-    model = init_model(4, 2, 2, cell_kind="vanilla", seed=0)
-    model.v_dense = np.eye(4) * 1e8
+    # gamma scales every rotation block, so |V h| = 1e8 |h| at zero T
+    model = init_model(4, 2, 2, seed=0)
+    model.schur.gamma[:] = 1e8
     batch = SequenceBatch(
         inputs=np.ones((1, 60, 2)),
         targets=np.zeros((1, 60), dtype=np.int64),
