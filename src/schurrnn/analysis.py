@@ -36,6 +36,7 @@ class ConnectivityReport:
     t_frobenius: float
     theta_frobenius: float
     top_singular_value: float
+    spectral_radius: float           # max gamma: V's eigenvalues are gamma e^{+-i theta}
 
     @property
     def nonnormality_ratio(self):
@@ -47,7 +48,8 @@ class ConnectivityReport:
 def connectivity_report(p):
     """Diagnostics of the assembled connectivity.  The sub-diagonal profile
     and norms are measured on Theta (the Schur form); the top singular
-    value on V itself."""
+    value on V itself.  The spectral radius is read from the Schur form:
+    the eigenvalues of V are gamma_i e^{+-i theta_i}, whatever T is."""
     v, cache = assemble_v(p)
     theta = cache.theta
     n = p.n
@@ -70,6 +72,7 @@ def connectivity_report(p):
         t_frobenius=float(np.linalg.norm(p.t_lower)),
         theta_frobenius=float(np.linalg.norm(theta)),
         top_singular_value=float(np.linalg.norm(v, 2)),
+        spectral_radius=float(np.max(p.gamma)),
     )
 
 
@@ -90,6 +93,7 @@ def write_report_json(report, path):
         "nonnormality_ratio": report.nonnormality_ratio,
         "regime": _regime(report.nonnormality_ratio),
         "top_singular_value": report.top_singular_value,
+        "spectral_radius": report.spectral_radius,
         "gamma_histogram": report.gamma_histogram.tolist(),
         "gamma_bin_edges": report.gamma_bin_edges.tolist(),
         "theta_histogram": report.theta_histogram.tolist(),

@@ -17,6 +17,8 @@ the solves usable even when C itself is catastrophically ill-conditioned
 (condition numbers reach 1e23 for d = 0.2 with super-unit sub-diagonals).
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,8 @@ __all__ = [
 # same multiple of n unless k_max says otherwise.
 SERIES_TOL = 1e-12
 TERMS_PER_UNIT = 10
+# Row blocks of each transient step's GEMM (see transient_ensemble).
+ROW_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,17 @@ def delay_line_theta(n, alpha):
 
 
 def _covariance_factor(theta):
-    """Upper-triangular R with sum_{k<K} Theta^k (Theta^k)^T = R^T R, and
-    the number of terms K, by square-root doubling.
+    """Upper-triangular R with sum_{k<K} Theta^k (Theta^k)^T = R^T R, the
+    number of terms K, and the (K, n) array whose row k is Theta^k e_1,
+    by square-root doubling.
 
     With S_K the stack of (Theta^k)^T for k < K and A = (Theta^T)^K,
     S_2K = [S_K; S_K A], so if S_K = Q R then S_2K = diag(Q, Q) [R; R A]
     and the factor of the doubled sum is the R factor of the 2n x n stack
-    [R; R A].  Doubling stops once K >= n (non-normal transients can grow
-    before they decay) and the tail term ||A||_F^2 is below SERIES_TOL.
+    [R; R A].  The same A extends the columns: row K + k is row k times A,
+    so each doubling adds its K rows in one GEMM.  Doubling stops once
+    K >= n (non-normal transients can grow before they decay) and the tail
+    term ||A||_F^2 is below SERIES_TOL.
 
     Raises :class:`DivergenceError` if the tail is still growing when K
     passes TERMS_PER_UNIT * n, or overflows.
@@ -109,21 +116,23 @@ def _covariance_factor(theta):
     n = theta.shape[0]
     cap = TERMS_PER_UNIT * n
     r = np.eye(n)
+    cols = np.eye(1, n)
     a = theta.T
     terms = 1
     prev = np.inf
     while True:
         r = np.linalg.qr(np.vstack([r, r @ a]), mode="r")
+        cols = np.vstack([cols, cols @ a])
         a = a @ a
         terms *= 2
         tail = float(np.linalg.norm(a)) ** 2
         if terms >= n and tail < SERIES_TOL:
-            return r, terms
+            return r, terms, cols
         if not np.isfinite(tail) or (terms > cap and tail > prev):
             raise DivergenceError(
                 f"covariance series still growing after {terms} terms")
         if terms > cap:
-            return r, terms
+            return r, terms, cols
         prev = tail
 
 
@@ -132,22 +141,25 @@ def fmc_from_theta(theta, eps=1.0, k_max=0):
     until J(k) is negligible (past k = n), capped at 10n terms."""
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
-    r, terms = _covariance_factor(theta)
+    r, terms, cols = _covariance_factor(theta)
 
     limit = k_max if k_max else TERMS_PER_UNIT * n
     cutoff = 1e-14
-    # Columns Theta^k e_1.  C >= eps * I bounds J(k) by |Theta^k e_1|^2 / eps,
-    # so with k_max = 0 the first k >= n whose column is below half the
-    # cut-off has J(k) below it too, and no later column is needed.
-    v = np.zeros(n)
-    v[0] = 1.0
-    cols = []
-    for k in range(limit + 1):
-        cols.append(v)
-        if k_max == 0 and k >= n and v @ v < 0.5 * cutoff * eps:
+    # Columns Theta^k e_1: the factor's for k < K, one matvec each past K.
+    # C >= eps * I bounds J(k) by |Theta^k e_1|^2 / eps, so with k_max = 0
+    # the first k >= n whose column is below half the cut-off has J(k)
+    # below it too, and no later column is needed.
+    cols = cols[: limit + 1]
+    extra = []
+    v = cols[-1]
+    for k in range(len(cols), limit + 1):
+        if k_max == 0 and k > n and v @ v < 0.5 * cutoff * eps:
             break
         v = theta @ v
-    y = np.linalg.solve(r.T, np.array(cols).T)
+        extra.append(v)
+    if extra:
+        cols = np.vstack([cols, extra])
+    y = np.linalg.solve(r.T, cols.T)
     curve = np.einsum("ij,ij->j", y, y) / eps
     if k_max == 0:
         # stop at the first k >= n with J(k) below the cut-off
@@ -251,21 +263,21 @@ class TransientStats:
 def _shift_chain_stats(x, alpha, unit_std, norms):
     """Fill the statistics rows t < n of ``unit_std`` and ``norms`` for
     Theta = alpha * S, S the down-shift, from the normalized draw ``x``
-    (n_samples, n), which is overwritten.
+    (n_samples, n), which is only read.
 
     h_t = alpha^t S^t x holds the first n - t units of x, so with P1 and
     P2 the sums of x and x^2 over those units, ||h_t|| = |alpha|^t sqrt(P2)
     and the per-unit standard deviation is |alpha|^t sqrt(P2/n - (P1/n)^2).
     P1 and P2 for every t are the columns of two prefix sums along the
-    unit axis, read last column first."""
+    unit axis, read last column first; both are taken in one buffer."""
     n = x.shape[1]
     m = min(len(norms), n)
     ns, us = norms[:m], unit_std[:m]
-    sq = np.square(x)
-    np.cumsum(sq, axis=1, out=sq)
-    np.copyto(ns, sq[:, ::-1][:, :m].T)   # P2
-    np.cumsum(x, axis=1, out=x)
-    np.copyto(us, x[:, ::-1][:, :m].T)    # P1
+    buf = np.square(x)
+    np.cumsum(buf, axis=1, out=buf)
+    np.copyto(ns, buf[:, ::-1][:, :m].T)   # P2
+    np.cumsum(x, axis=1, out=buf)
+    np.copyto(us, buf[:, ::-1][:, :m].T)   # P1
     # P2/n - (P1/n)^2, in place
     np.square(us, out=us)
     us /= -n
@@ -291,6 +303,17 @@ def _ensemble(unit_std, norms):
     return TransientStats(np.arange(len(norms)), *summaries)
 
 
+@functools.lru_cache(maxsize=1)
+def _starting_states(rng_seed, n_samples, n):
+    """The rows of one ``default_rng(rng_seed).normal(size=(n_samples, n))``
+    draw, each normalized; read-only.  The cache holds the last integer
+    seed's draw (see :func:`transient_ensemble`)."""
+    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x.flags.writeable = False
+    return x
+
+
 def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     """Iterate h_{t+1} = Theta h_t from initial conditions uniform on the
     unit hypersphere (normalized Gaussians) and return ensemble statistics
@@ -300,7 +323,10 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     ``np.random.default_rng(rng_seed).normal(size=(n_samples, n))`` draw,
     each normalized.  The draw fills row by row, so sample s depends only
     on (seed, s, n): the first m samples are the same for any
-    ``n_samples >= m``.
+    ``n_samples >= m``.  An integer seed's draw is shared: the last one is
+    kept, read-only, between calls (n_samples * n floats), so calls with
+    the same (seed, n_samples, n) draw once.  Any other seed (None, a
+    SeedSequence or a Generator) draws afresh on every call.
 
     For d = beta = 0, Theta = alpha * S with S the down-shift, and nothing
     is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units of the
@@ -309,14 +335,19 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     work in all.  From t = n on (and from t = 1 on when alpha = 0) the
     statistics are exactly 0.
 
-    Otherwise each step is one GEMM on the live block of Theta.  The first
-    step reads the normalized draw itself; from then on the state is held
-    unit-major in two reused C-ordered (n, n_samples) buffers, and each
-    step writes from one into the other.  Theta is lower triangular, so
-    leading units that are exactly zero in every sample stay zero: each
-    step acts only on the trailing live block, and stepping stops once the
-    whole state is zero (from t = n on when d = 0), leaving the remaining
-    statistics exactly 0.
+    Otherwise each step is a GEMM on the live block of Theta.  The first
+    step reads the draw itself; from then on the state is held unit-major
+    in two reused C-ordered (n, n_samples) buffers, and each step writes
+    from one into the other.  Theta is lower triangular, so leading units
+    that are exactly zero in every sample stay zero: each step acts only
+    on the trailing live block, and stepping stops once the whole state is
+    zero (from t = n on when d = 0), leaving the remaining statistics
+    exactly 0.  For the same reason each step splits the live rows into
+    ROW_BLOCKS row blocks and multiplies each by the live columns up to
+    its own last row only, skipping Theta's zero upper triangle.  Both
+    rest on Theta being lower triangular; a quasi-triangular Theta (2x2
+    blocks on the diagonal) would need the blocks' edges and the trim to
+    respect its pairs.
 
     The prefix sums equal a dense GEMM step to rounding, not bit for bit:
     they add in another order than the per-step reductions.  Raises
@@ -331,16 +362,15 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
 
     unit_std = np.zeros((t_max + 1, n_samples))
     norms = np.zeros((t_max + 1, n_samples))
-    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    draw = (_starting_states if isinstance(rng_seed, numbers.Integral)
+            else _starting_states.__wrapped__)
+    x = draw(rng_seed, n_samples, n)
     if cfg.d == 0 and cfg.beta == 0:
         _shift_chain_stats(x, cfg.alpha, unit_std, norms)
-        del x   # before the summaries' temporaries
         return _ensemble(unit_std, norms)
     theta = build_theta_family(cfg)
     # The draw is the first state, read unit-major through its transposed
-    # view (a GEMM takes that layout at no cost); the first step writes
-    # into a C-ordered buffer, and the draw is freed before the second.
+    # view (a GEMM takes that layout at no cost).
     cur, nxt = x.T, np.empty((n, n_samples))
     del x
     k = 0   # cur[k:] holds the live units; the units before k are exactly 0
@@ -356,9 +386,12 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
         unit_std[t] = np.sqrt(np.maximum(sumsq / n - mean * mean, 0.0))
         if t == t_max:
             break
-        np.matmul(theta[k:, k:], h, out=nxt[k:])
+        edges = [k + (n - k) * b // ROW_BLOCKS for b in range(ROW_BLOCKS + 1)]
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            np.matmul(theta[r0:r1, k:r1], cur[k:r1], out=nxt[r0:r1])
         cur, nxt = nxt, cur
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor
             nxt = np.empty_like(cur)
+    del cur, nxt, h   # before the summaries' temporaries
     return _ensemble(unit_std, norms)

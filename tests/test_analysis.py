@@ -9,7 +9,12 @@ from schurrnn.analysis import (
     write_profile_csv,
     write_report_json,
 )
-from schurrnn.schur import assemble_theta, init_params, t_lower_mask
+from schurrnn.schur import (
+    assemble_theta,
+    assemble_v,
+    init_params,
+    t_lower_mask,
+)
 
 
 def params_with_delay_line(n, weight=1.0, seed=0):
@@ -59,6 +64,17 @@ def test_profile_matches_brute_force_scan():
         assert rep.subdiag_profile[k - 1] == pytest.approx(np.mean(vals), abs=1e-15)
 
 
+def test_spectral_radius_from_schur_form():
+    p = params_with_delay_line(10, weight=0.7, seed=7)
+    p.gamma = np.random.default_rng(8).uniform(0.9, 1.04, size=5)
+    v, _ = assemble_v(p)
+    rep = connectivity_report(p)
+    assert rep.t_frobenius > 0.0
+    assert rep.spectral_radius == np.max(p.gamma)
+    assert rep.spectral_radius == pytest.approx(
+        np.max(np.abs(np.linalg.eigvals(v))), abs=1e-10)
+
+
 def test_histograms_count_parameters():
     p = init_params(16, rng_seed=4)
     rep = connectivity_report(p)
@@ -80,6 +96,7 @@ def test_report_serialization(tmp_path):
     write_report_json(rep, jpath)
     doc = json.loads(jpath.read_text())
     assert doc["n"] == 8
+    assert doc["spectral_radius"] == rep.spectral_radius
     assert len(doc["subdiag_profile"]) == 7
     assert len(doc["theta_histogram"]) == 64
 

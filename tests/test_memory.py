@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import jtot_oracle
+from schurrnn import memory
 from schurrnn.memory import (
+    ROW_BLOCKS,
     SERIES_TOL,
     TERMS_PER_UNIT,
     FmcConfig,
@@ -159,6 +161,39 @@ def test_fmc_matches_dense_oracle():
         assert np.all(res.j_curve[n:-1] >= 1e-14)
 
 
+@pytest.mark.parametrize("diagonal", [False, True],
+                         ids=["nilpotent", "diagonal_inside_disc"])
+def test_fmc_columns_past_the_factors_terms(diagonal):
+    # The factor supplies Theta^k e_1 for k < K from its squarings; later
+    # columns are matvecs.  Both sides of K agree with the dense oracle.
+    rng = np.random.default_rng(11)
+    n = 8
+    th = np.tril(rng.normal(size=(n, n)) * 0.4, -1)
+    if diagonal:
+        th[np.diag_indices(n)] = rng.uniform(-0.6, 0.6, size=n)
+    terms = fmc_from_theta(th).truncation_terms
+    assert terms > n if diagonal else terms == n
+    for k in sorted({n - 1, terms - 1, terms, terms + 1, 3 * terms}):
+        res = fmc_from_theta(th, k_max=k)
+        assert res.truncation_terms == terms
+        assert len(res.j_curve) == k + 1
+        np.testing.assert_allclose(res.j_curve, fmc_oracle(th, k_max=k),
+                                   rtol=1e-8, atol=0)
+
+
+def test_fmc_auto_length_past_the_factors_terms():
+    # lam * I at n = 8 stops its factor at K = 32 while J(k) is still above
+    # the cut-off, so the curve's tail comes from matvecs; J(k) is
+    # lam^2k (1 - lam^2) up to the factor's truncation
+    lam = 0.62
+    res = fmc_from_theta(lam * np.eye(8))
+    assert res.truncation_terms == 32
+    assert len(res.j_curve) == 35
+    k = np.arange(35)
+    np.testing.assert_allclose(res.j_curve, lam ** (2 * k) * (1 - lam**2),
+                               rtol=1e-8, atol=0)
+
+
 def test_table_curve_lengths_and_terms():
     # Curve lengths of the 12-row total-memory table, as the per-lag
     # evaluation of J(k) gives them: n + 1 on the nilpotent d = 0 rows.
@@ -261,6 +296,12 @@ def test_d0_nilpotency_erases_memory():
     cfg = FmcConfig(n=12, d=0.0, alpha=1.0, beta=0.005, k_max=20)
     res = fisher_memory_curve(cfg)
     assert np.all(res.j_curve[12:] < 1e-13)
+    # with k_max = 0 the curve runs to k = n even when J(n - 1) is already
+    # below the cut-off (here the factor stops at K = n = 8)
+    res = fmc_from_theta(delay_line_theta(8, 1e-30))
+    assert res.truncation_terms == 8
+    assert len(res.j_curve) == 9
+    assert res.j_curve[7] < 1e-100
 
 
 def test_d_positive_extends_memory():
@@ -426,11 +467,16 @@ def transient_oracle(cfg, h0, t_max):
     (dict(n=30, d=0.0, alpha=-1.1, beta=0.0), 200, 45),
     (dict(n=2, d=0.0, alpha=0.95, beta=0.0), 50, 1),
     (dict(n=30, d=0.0, alpha=1.05, beta=0.0), 200, 0),
+    (dict(n=3, d=0.0, alpha=1.0, beta=0.2), 50, 7),
+    (dict(n=5, d=0.0, alpha=1.05, beta=0.1), 50, 9),
+    (dict(n=5, d=0.3, alpha=1.05, beta=0.1), 50, 12),
+    (dict(n=2 * ROW_BLOCKS + 3, d=0.4, alpha=1.02, beta=0.05), 60, 30),
 ], ids=["d0", "d0_beta", "d_positive", "bench_shape", "bidiagonal_bench_shape",
         "bidiagonal_d_positive", "bidiagonal_n2_d0", "bidiagonal_n2_d_positive",
         "n3_t0", "shift_bench_shape_a0.95", "shift_bench_shape_a1.0",
         "shift_t_max_below_n", "shift_alpha0", "shift_alpha_negative",
-        "shift_n2", "shift_t0"])
+        "shift_n2", "shift_t0", "n3_steps", "n5_steps", "n5_d_positive",
+        "d_positive_uneven_blocks"])
 def test_transient_matches_dense_oracle(row, n_samples, t_max):
     cfg = FmcConfig(**row)
     stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
@@ -460,21 +506,65 @@ def test_transient_draw_is_prefix_stable():
 @pytest.mark.parametrize("beta", [0.0, 0.005])
 def test_transient_allocation_budget(beta):
     """Peak traced allocation of one ensemble at the benchmark shape, in
-    units of one (n, n_samples) float64 state.  The statistics live in two
+    units of one (n, n_samples) float64 state, on a cold call (a seed not
+    drawn before, so the draw is allocated) and on a warm one (the same
+    seed again: the normalized draw of the last integer seed is held
+    across calls and not allocated).  The statistics live in two
     (t_max + 1, n_samples) arrays (2.42 units).  With beta != 0 the state
-    lives in two reused buffers; a third state-sized array alive across
-    the loop, or statistics taken after the loop from full-size
-    temporaries, would break the budget.  With beta = 0 (and d = 0) the
-    draw and its squares hold the prefix sums, which are written straight
-    into the statistics arrays; gathering through temporaries would break
-    it."""
+    lives in two reused buffers beside the held draw, and both are freed
+    before the summaries; a further state-sized array alive across the
+    loop, or statistics taken after the loop from full-size temporaries,
+    would break the budget.  With beta = 0 (and d = 0) one buffer holds
+    both prefix sums in turn, which are written straight into the
+    statistics arrays; gathering through temporaries would break it."""
     n, n_samples, t_max = 100, 1000, 120
     cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
-    transient_ensemble(cfg, n_samples=n_samples, t_max=t_max)  # warm up
-    tracemalloc.start()
-    try:
-        transient_ensemble(cfg, n_samples=n_samples, t_max=t_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (n * n_samples * 8) < 6
+    transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
+                       rng_seed=0)  # warm up
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
+                               rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n_samples * 8) < 6
+
+
+def test_starting_states_cache_keeps_seed_meaning():
+    # interleaved seeds and shapes: every draw equals a cold one
+    calls = [(3, 20, 6), (3, 20, 6), (4, 20, 6), (3, 20, 6), (3, 30, 6),
+             (3, 20, 7), (np.int64(3), 20, 6), (3, 20, 6)]
+    for seed, n_samples, n in calls:
+        x = memory._starting_states(seed, n_samples, n)
+        assert np.array_equal(x, library_starting_states(n, n_samples, seed))
+        assert x is memory._starting_states(seed, n_samples, n)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
+    cfg = FmcConfig(n=6, d=0.3, alpha=1.05, beta=0.1)
+    for seed, n_samples, _ in calls:
+        warm = transient_ensemble(cfg, n_samples=n_samples, t_max=8,
+                                  rng_seed=seed)
+        memory._starting_states.cache_clear()
+        cold = transient_ensemble(cfg, n_samples=n_samples, t_max=8,
+                                  rng_seed=seed)
+        assert np.array_equal(warm.norm_mean, cold.norm_mean)
+        assert np.array_equal(warm.unit_std_std, cold.unit_std_std)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_transient_fresh_draw_without_integer_seed(beta):
+    # None, a Generator or a SeedSequence draws anew on every call
+    cfg = FmcConfig(n=6, d=0.0, alpha=1.05, beta=beta)
+
+    def run(seed):
+        return transient_ensemble(cfg, n_samples=20, t_max=8,
+                                  rng_seed=seed).norm_std
+
+    assert not np.array_equal(run(None), run(None))
+    gen = np.random.default_rng(5)
+    assert not np.array_equal(run(gen), run(gen))
+    seq = np.random.SeedSequence(5)
+    assert np.array_equal(run(seq), run(5))
+    assert np.array_equal(run(np.random.default_rng(5)), run(5))
