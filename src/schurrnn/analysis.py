@@ -1,20 +1,13 @@
 """Connectivity diagnostics: sub-diagonal magnitude profiles, angle and
 modulus distributions, and a normal-vs-non-normal regime summary."""
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .schur import assemble_v
 
-__all__ = [
-    "ConnectivityReport",
-    "connectivity_report",
-    "write_report_json",
-    "write_profile_csv",
-]
+__all__ = ["ConnectivityReport", "connectivity_report"]
 
 N_BINS = 64
 
@@ -43,6 +36,15 @@ class ConnectivityReport:
         if self.theta_frobenius == 0.0:
             return 0.0
         return self.t_frobenius / self.theta_frobenius
+
+    @property
+    def regime(self):
+        ratio = self.nonnormality_ratio
+        if ratio <= NORMAL_RATIO:
+            return "normal"
+        if ratio > NONNORMAL_RATIO:
+            return "non-normal"
+        return "intermediate"
 
 
 def connectivity_report(p):
@@ -74,40 +76,3 @@ def connectivity_report(p):
         top_singular_value=float(np.linalg.norm(v, 2)),
         spectral_radius=float(np.max(p.gamma)),
     )
-
-
-def _regime(ratio):
-    if ratio <= NORMAL_RATIO:
-        return "normal"
-    if ratio > NONNORMAL_RATIO:
-        return "non-normal"
-    return "intermediate"
-
-
-def write_report_json(report, path):
-    doc = {
-        "n": report.n,
-        "mean_gamma": report.mean_gamma,
-        "t_frobenius": report.t_frobenius,
-        "theta_frobenius": report.theta_frobenius,
-        "nonnormality_ratio": report.nonnormality_ratio,
-        "regime": _regime(report.nonnormality_ratio),
-        "top_singular_value": report.top_singular_value,
-        "spectral_radius": report.spectral_radius,
-        "gamma_histogram": report.gamma_histogram.tolist(),
-        "gamma_bin_edges": report.gamma_bin_edges.tolist(),
-        "theta_histogram": report.theta_histogram.tolist(),
-        "subdiag_profile": report.subdiag_profile.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def write_profile_csv(report, path):
-    """Sub-diagonal profile as (k, mean_abs) rows for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_abs"])
-        for k, m in enumerate(report.subdiag_profile, start=1):
-            writer.writerow([k, repr(float(m))])

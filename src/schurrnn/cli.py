@@ -3,15 +3,20 @@
 Subcommands: train, fmc, transients, props, report.  Configs are JSON
 documents validated field-by-field (unknown keys and mistyped values are
 rejected); outputs are CSV curves and JSON reports meant for external
-plotting.
+plotting.  This module owns their formats.  Each command checks its config,
+computes every result in memory, then writes its files with one call to
+:func:`_write`; the checkpoint, a format with its own reader, is written
+by :func:`schurrnn.schur.save_checkpoint`.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (divergence or series non-convergence).
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,7 +26,7 @@ import typing
 import numpy as np
 
 from . import analysis, memory, propcheck, schur, tasks
-from .optim import DivergenceError, TrainConfig, train_loop, write_log_csv
+from .optim import DivergenceError, LogRecord, TrainConfig, train_loop
 from .rnn import init_model
 
 __all__ = ["main", "ConfigError"]
@@ -45,8 +50,19 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except ValueError as exc:   # JSONDecodeError, bad UTF-8, huge integers
+    # JSONDecodeError, bad UTF-8, huge integers; deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+
+
+@contextlib.contextmanager
+def _named(where):
+    """A ``ValueError`` the library raises on a checked value becomes a
+    :class:`ConfigError` that names ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 # JSON types a field of each Python type takes; a boolean is none of them.
@@ -108,25 +124,50 @@ def _from_doc(cls, doc, where, keys=None):
         {f.name for f in fields if f.default is dataclasses.MISSING},
         where,
     )
-    try:
+    with _named(where):
         return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# --- output files -------------------------------------------------------------
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_report(params, out_dir):
-    report = analysis.connectivity_report(params)
-    analysis.write_report_json(
-        report, os.path.join(out_dir, "connectivity_report.json"))
-    analysis.write_profile_csv(
-        report, os.path.join(out_dir, "subdiag_profile.csv"))
+def _json_text(doc):
+    """``doc`` as indented JSON; numpy arrays and scalars as lists and
+    numbers."""
+    return json.dumps(doc, indent=2, default=lambda a: a.tolist()) + "\n"
+
+
+def _write(out_dir, files):
+    """Write each file name's text in ``files`` into ``out_dir``, which is
+    made if need be."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write(text)
+
+
+def _report_files(params):
+    """The connectivity report of ``params`` and its sub-diagonal profile,
+    as (k, mean_abs) rows for plotting."""
+    rep = analysis.connectivity_report(params)
+    keys = ["n", "mean_gamma", "t_frobenius", "theta_frobenius",
+            "nonnormality_ratio", "regime", "top_singular_value",
+            "spectral_radius", "gamma_histogram", "gamma_bin_edges",
+            "theta_histogram", "subdiag_profile"]
+    profile = [[k, repr(float(m))]
+               for k, m in enumerate(rep.subdiag_profile, start=1)]
+    return {
+        "connectivity_report.json": _json_text(
+            {key: getattr(rep, key) for key in keys}),
+        "subdiag_profile.csv": _csv_text(["k", "mean_abs"], profile),
+    }
 
 
 # --- train --------------------------------------------------------------------
@@ -158,6 +199,11 @@ def _build_task(doc, batch_size, seed):
     raise ConfigError(f"task: unknown kind {kind!r}")
 
 
+def _log_text(records):
+    return _csv_text([f.name for f in dataclasses.fields(LogRecord)],
+                     map(dataclasses.astuple, records))
+
+
 def cmd_train(config_path, out_dir, seed_override):
     doc = _checked(_load_json(config_path),
                    {"task": dict, "model": dict, "train": dict, "seed": int},
@@ -169,7 +215,7 @@ def cmd_train(config_path, out_dir, seed_override):
     config = _from_doc(TrainConfig, doc.get("train", {}), "train")
 
     stream, d_in, d_out = _build_task(doc["task"], config.batch_size, seed)
-    try:
+    with _named("model"):
         model = init_model(
             n=model_doc["n"],
             d_in=d_in,
@@ -177,22 +223,20 @@ def cmd_train(config_path, out_dir, seed_override):
             scheme=scheme,
             seed=seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train_log.csv")
+    # A value too large for the task's batches fails on the first one.
     try:
-        result = train_loop(model, stream, config)
+        with _named("train"):
+            result = train_loop(model, stream, config)
     except DivergenceError as exc:
-        write_log_csv(exc.records, log_path)
+        _write(out_dir, {"train_log.csv": _log_text(exc.records)})
         raise
-    write_log_csv(result.records, log_path)
+    _write(out_dir, {"train_log.csv": _log_text(result.records),
+                     **_report_files(model.schur)})
     schur.save_checkpoint(
         model.schur, os.path.join(out_dir, "checkpoint.json"),
         scheme=scheme, seed=seed,
     )
-    _write_report(model.schur, out_dir)
     return 0
 
 
@@ -201,34 +245,27 @@ def cmd_train(config_path, out_dir, seed_override):
 def cmd_fmc(config_path, out_dir):
     doc = _checked(_load_json(config_path), {"sweep": list}, {"sweep"},
                    "config")
-    # As in cmd_transients, every row is checked before the output
-    # directory is made, so a bad value leaves nothing behind.
     configs = [_from_doc(memory.FmcConfig, row, f"sweep[{i}]")
                for i, row in enumerate(doc["sweep"])]
 
-    os.makedirs(out_dir, exist_ok=True)
+    files = {}
     summary = []
     failure = None
     for i, cfg in enumerate(configs):
+        row = [i, cfg.n, repr(cfg.d), repr(cfg.alpha), repr(cfg.beta)]
         try:
-            res = memory.fisher_memory_curve(cfg)
+            with _named(f"sweep[{i}]"):
+                res = memory.fisher_memory_curve(cfg)
         except DivergenceError as exc:
-            summary.append([i, cfg.n, repr(cfg.d), repr(cfg.alpha),
-                            repr(cfg.beta), "", "diverged"])
+            summary.append(row + ["", "diverged"])
             failure = failure or f"sweep[{i}]: {exc}"
             continue
-        _write_csv(
-            os.path.join(out_dir, f"fmc_{i:02d}.csv"),
-            ["k", "j"],
-            [[k, repr(float(j))] for k, j in enumerate(res.j_curve)],
-        )
-        summary.append([i, cfg.n, repr(cfg.d), repr(cfg.alpha),
-                        repr(cfg.beta), repr(res.j_tot), "ok"])
-    _write_csv(
-        os.path.join(out_dir, "fmc_summary.csv"),
-        ["row", "n", "d", "alpha", "beta", "j_tot", "status"],
-        summary,
-    )
+        files[f"fmc_{i:02d}.csv"] = _csv_text(
+            ["k", "j"], [[k, repr(float(j))] for k, j in enumerate(res.j_curve)])
+        summary.append(row + [repr(res.j_tot), "ok"])
+    files["fmc_summary.csv"] = _csv_text(
+        ["row", "n", "d", "alpha", "beta", "j_tot", "status"], summary)
+    _write(out_dir, files)
     # The good rows are written; the first diverged row names the failure.
     if failure:
         raise DivergenceError(failure)
@@ -243,25 +280,17 @@ def cmd_transients(config_path, out_dir, seed_override):
                     "t_max": typing.Optional[int], "seed": int},
                    {"configs"}, "config")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    configs = [_from_doc(memory.FmcConfig, row, f"configs[{i}]",
+                         keys={"n", "d", "alpha", "beta"})
+               for i, row in enumerate(doc["configs"])]
 
-    # Every row runs before the output directory is made, so a bad value
-    # in any row exits 1 and leaves nothing behind.
-    results = []
-    for i, row in enumerate(doc["configs"]):
-        where = f"configs[{i}]"
-        cfg = _from_doc(memory.FmcConfig, row, where,
-                        keys={"n", "d", "alpha", "beta"})
-        try:
-            results.append(memory.transient_ensemble(
+    files = {}
+    for i, cfg in enumerate(configs):
+        with _named(f"configs[{i}]"):
+            stats = memory.transient_ensemble(
                 cfg, n_samples=doc.get("n_samples", 1000),
-                t_max=doc.get("t_max"), rng_seed=seed))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}")
-
-    os.makedirs(out_dir, exist_ok=True)
-    for i, stats in enumerate(results):
-        _write_csv(
-            os.path.join(out_dir, f"transients_{i:02d}.csv"),
+                t_max=doc.get("t_max"), rng_seed=seed)
+        files[f"transients_{i:02d}.csv"] = _csv_text(
             ["t", "unit_std_mean", "unit_std_std", "norm_mean", "norm_std"],
             [
                 [int(t), repr(float(a)), repr(float(b)),
@@ -271,61 +300,57 @@ def cmd_transients(config_path, out_dir, seed_override):
                     stats.norm_mean, stats.norm_std)
             ],
         )
+    _write(out_dir, files)
     return 0
 
 
 # --- props --------------------------------------------------------------------
 
-def _prop_reports(doc):
-    """(file name, text) of each proposition report in run order, and the
-    exit status: 2 at the first failed check, which ends the run."""
-    files = []
-    for i, row in enumerate(doc.get("prop2", [{"n": 6, "t_max": 12}])):
-        row = _checked(row, {"n": int, "t_max": int}, {"n", "t_max"},
-                       f"prop2[{i}]")
-        try:
-            report = propcheck.verify_prop2(row["n"], row["t_max"])
-        except ValueError as exc:
-            raise ConfigError(f"prop2[{i}]: {exc}")
-        files.append((f"prop2_{i:02d}.json", report.to_json() + "\n"))
-        if not report.all_ok:
-            return files, 2
-
-    for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}])):
-        row = _checked(row, {"n": int, "alpha": float}, {"n", "alpha"},
-                       f"prop1[{i}]")
-        try:
-            theta = memory.delay_line_theta(row["n"], row["alpha"])
-            rep = memory.prop1_bound_check(theta)
-        except ValueError as exc:
-            raise ConfigError(f"prop1[{i}]: {exc}")
-        except AssertionError:
-            return files, 2
-        text = json.dumps(
-            {
-                "n": rep.n,
-                "alpha": rep.alpha,
-                "sigma_max": rep.sigma_max,
-                "holds": rep.holds,
-                "j_curve": rep.j_curve.tolist(),
-                "bound": rep.bound.tolist(),
-                "margin": rep.margin.tolist(),
-            },
-            indent=2,
-        )
-        files.append((f"prop1_{i:02d}.json", text + "\n"))
-    return files, 0
-
-
 def cmd_props(config_path, out_dir):
     doc = _checked(_load_json(config_path), {"prop2": list, "prop1": list},
                    set(), "config")
-    # As in cmd_transients, a bad row exits 1 before anything is written.
-    files, status = _prop_reports(doc)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in files:
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
+    prop2 = [_checked(row, {"n": int, "t_max": int}, {"n", "t_max"},
+                      f"prop2[{i}]")
+             for i, row in enumerate(doc.get("prop2", [{"n": 6, "t_max": 12}]))]
+    prop1 = [_checked(row, {"n": int, "alpha": float}, {"n", "alpha"},
+                      f"prop1[{i}]")
+             for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}]))]
+
+    # The reports run in order, and the first failed check ends the run
+    # with status 2.
+    files = {}
+    status = 0
+    for i, row in enumerate(prop2):
+        with _named(f"prop2[{i}]"):
+            rep = propcheck.verify_prop2(row["n"], row["t_max"])
+        files[f"prop2_{i:02d}.json"] = _json_text({
+            "n": rep.n,
+            "t_max": rep.t_max,
+            "degree_ok": rep.degree_ok,
+            "constant_ok": rep.constant_ok,
+            "recurrence_ok": rep.recurrence_ok,
+            "ratio_ok": rep.ratio_ok,
+            "max_ratio": rep.max_ratio,
+            "growth_slopes": {str(k): v for k, v in rep.growth_slopes.items()},
+            "polynomials": {
+                f"k={k},t={t}": rec for (k, t), rec in rep.polynomials.items()
+            },
+        })
+        if not rep.all_ok:
+            status = 2
+            break
+    keys = ["n", "alpha", "sigma_max", "holds", "j_curve", "bound", "margin"]
+    for i, row in enumerate(prop1 if status == 0 else []):
+        try:
+            with _named(f"prop1[{i}]"):
+                rep = memory.prop1_bound_check(
+                    memory.delay_line_theta(row["n"], row["alpha"]))
+        except AssertionError:
+            status = 2
+            break
+        files[f"prop1_{i:02d}.json"] = _json_text(
+            {key: getattr(rep, key) for key in keys})
+    _write(out_dir, files)
     return status
 
 
@@ -334,10 +359,9 @@ def cmd_props(config_path, out_dir):
 def cmd_report(config_path, out_dir):
     try:
         params, _, _ = schur.load_checkpoint(config_path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot load checkpoint {config_path}: {exc}")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_report(params, out_dir)
+    _write(out_dir, _report_files(params))
     return 0
 
 
@@ -370,6 +394,8 @@ def main(argv=None):
     # Overflow and NaN are reported by the library's own checks as one
     # DivergenceError, without numpy's warnings ahead of it.
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} is not a directory")
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args.config, args.out, *seed)
     except ConfigError as exc:

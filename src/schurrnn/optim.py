@@ -10,8 +10,7 @@ Regularizer gradients are folded into the task gradients before the
 RMSprop normalization.
 """
 
-import csv
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "LogRecord",
     "rmsprop_step",
     "train_loop",
-    "write_log_csv",
-    "LOG_COLUMNS",
 ]
 
 @dataclass
@@ -74,9 +71,6 @@ class LogRecord:
     t_fro: float
     orth_err: float
     grad_norm_total: float
-
-
-LOG_COLUMNS = [f.name for f in fields(LogRecord)]
 
 
 @dataclass
@@ -169,11 +163,3 @@ def train_loop(model, stream, config):
             ))
 
     return TrainResult(records=records, model=model, final_hidden=last_hidden)
-
-
-def write_log_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(asdict(rec))

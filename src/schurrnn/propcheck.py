@@ -14,7 +14,6 @@ checked with arbitrary-precision integer arithmetic and a failure is an
 implementation bug, not rounding.
 """
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -72,24 +71,6 @@ class Prop2Report:
     @property
     def all_ok(self):
         return self.degree_ok and self.constant_ok and self.recurrence_ok and self.ratio_ok
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n,
-                "t_max": self.t_max,
-                "degree_ok": self.degree_ok,
-                "constant_ok": self.constant_ok,
-                "recurrence_ok": self.recurrence_ok,
-                "ratio_ok": self.ratio_ok,
-                "max_ratio": self.max_ratio,
-                "growth_slopes": {str(k): v for k, v in self.growth_slopes.items()},
-                "polynomials": {
-                    f"k={k},t={t}": rec for (k, t), rec in self.polynomials.items()
-                },
-            },
-            indent=2,
-        )
 
 
 def verify_prop2(n, t_max):

@@ -371,13 +371,11 @@ def load_checkpoint(path):
     n = doc["n"]
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    t = _lower_from_rows(doc["t_lower"], n, "t_lower")
-    t[~t_lower_mask(n)] = 0.0
     params = SchurParams(
         n=n,
         b_skew=_skew_from_lower(_lower_from_rows(doc["b_skew"], n, "b_skew")),
         gamma=_floats(doc["gamma"], "gamma"),
         theta=_floats(doc["theta"], "theta"),
-        t_lower=t,
+        t_lower=_lower_from_rows(doc["t_lower"], n, "t_lower"),
     )
     return params, doc.get("scheme"), doc.get("seed")

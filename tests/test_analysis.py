@@ -4,15 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from schurrnn.analysis import (
-    connectivity_report,
-    write_profile_csv,
-    write_report_json,
-)
+from schurrnn import cli
+from schurrnn.analysis import connectivity_report
 from schurrnn.schur import (
     assemble_theta,
     assemble_v,
     init_params,
+    save_checkpoint,
     t_lower_mask,
 )
 
@@ -82,27 +80,51 @@ def test_histograms_count_parameters():
     assert rep.gamma_histogram.sum() == 8
 
 
-def test_regime_boundary_closed_at_low_threshold():
-    from schurrnn.analysis import _regime
-    assert _regime(0.05) == "normal"
-    assert _regime(0.050001) == "intermediate"
-    assert _regime(0.2) == "intermediate"
-    assert _regime(0.21) == "non-normal"
+def run_report(tmp_path, p):
+    """The output directory of `schurrnn report` on a checkpoint of p."""
+    tmp_path.mkdir(exist_ok=True)
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(p, ckpt)
+    out = tmp_path / "report"
+    assert cli.main(["report", "--config", str(ckpt), "--out", str(out)]) == 0
+    return out
+
+
+def test_regime_boundary_closed_at_low_threshold(tmp_path):
+    # With theta = 0 and P = I, ||Theta||_F^2 = 2 sum(gamma^2) + t^2 in
+    # integers: 2 / sqrt(1596 + 4) and 1 / sqrt(24 + 1) are exactly the
+    # thresholds 0.05 and 0.2.
+    cases = [
+        ([28.0, 3.0, 2.0, 1.0], 2.0, 0.05, "normal"),
+        ([28.0, 3.0, 2.0, 1.0], 2.0001, None, "intermediate"),
+        ([3.0, 1.0, 1.0, 1.0], 1.0, 0.2, "intermediate"),
+        ([3.0, 1.0, 1.0, 1.0], 1.1, None, "non-normal"),
+    ]
+    for i, (gamma, t, ratio, regime) in enumerate(cases):
+        p = init_params(8, rng_seed=0)
+        p.b_skew = np.zeros((8, 8))
+        p.gamma = np.array(gamma)
+        p.theta = np.zeros(4)
+        p.t_lower = np.zeros((8, 8))
+        p.t_lower[2, 0] = t
+        out = run_report(tmp_path / str(i), p)
+        doc = json.loads((out / "connectivity_report.json").read_text())
+        if ratio is not None:
+            assert doc["nonnormality_ratio"] == ratio
+        assert doc["regime"] == regime
 
 
 def test_report_serialization(tmp_path):
-    rep = connectivity_report(params_with_delay_line(8, weight=0.5, seed=6))
-    jpath = tmp_path / "rep.json"
-    write_report_json(rep, jpath)
-    doc = json.loads(jpath.read_text())
+    p = params_with_delay_line(8, weight=0.5, seed=6)
+    rep = connectivity_report(p)
+    out = run_report(tmp_path, p)
+    doc = json.loads((out / "connectivity_report.json").read_text())
     assert doc["n"] == 8
     assert doc["spectral_radius"] == rep.spectral_radius
     assert len(doc["subdiag_profile"]) == 7
     assert len(doc["theta_histogram"]) == 64
 
-    cpath = tmp_path / "profile.csv"
-    write_profile_csv(rep, cpath)
-    rows = list(csv.reader(cpath.open()))
+    rows = list(csv.reader((out / "subdiag_profile.csv").open()))
     assert rows[0] == ["k", "mean_abs"]
     assert len(rows) == 8
     assert float(rows[1][1]) == pytest.approx(rep.subdiag_profile[0])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from schurrnn import cli
+from schurrnn.optim import LogRecord
 from schurrnn.schur import init_params, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,9 +18,17 @@ SWEEP = "src/schurrnn/data/fmc_sweep_sm.json"
 
 
 def write_json(path, doc):
+    """Write doc as JSON, or as is if it is a string."""
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh)
     return str(path)
+
+
+# More levels than json's recursive decoder can take
+NESTED = "[" * 100000 + "]" * 100000
 
 
 def train_config(tmp_path, **over):
@@ -42,6 +52,17 @@ def test_train_smoke(tmp_path):
     assert (out / "connectivity_report.json").exists()
     rows = list(csv.reader((out / "train_log.csv").open()))
     assert len(rows) == 4  # header + 3 logged steps
+
+
+def test_train_log_header_is_log_record_fields(tmp_path):
+    path = train_config(tmp_path, task={"kind": "copy", "delay": 3},
+                        train={"max_updates": 20, "log_every": 10,
+                               "batch_size": 4})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "train_log.csv").open()))
+    assert rows[0] == [f.name for f in dataclasses.fields(LogRecord)]
+    assert len(rows) == 3
 
 
 def test_train_zero_updates_checkpoint_is_init(tmp_path):
@@ -96,14 +117,20 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"train": {"lr": float("nan")}},
     {"train": {"lr_orth": float("inf")}},
     {"train": {"lr": -float("inf")}},
+    {"train": {"batch_size": 2**62}},
+    {"task": {"kind": "copy", "delay": 2**62}},
+    NESTED,
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
         "max_updates_negative", "log_every_negative", "max_updates_bool",
-        "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf"])
+        "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
+        "batch_size_huge", "delay_huge", "nested"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, over):
+    # a string is the whole config document
+    config = (write_json(tmp_path / "train.json", over)
+              if isinstance(over, str) else train_config(tmp_path, **over))
     out = tmp_path / "o"
-    code = cli.main(["train", "--config", train_config(tmp_path, **over),
-                     "--out", str(out)])
+    code = cli.main(["train", "--config", config, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
@@ -142,12 +169,22 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("fmc", {"sweep": [{"n": 4, "eps": INF}]}),
     ("fmc", {"sweep": [{"n": 4, "d": -INF}]}),
     ("props", {**PROPS, "prop1": [{"n": 6, "alpha": NAN}]}),
+    ("fmc", {"sweep": [{"n": 4}, {"n": 2**62}]}),
+    ("fmc", NESTED),
+    ("transients", NESTED),
+    ("props", NESTED),
+    ("report", NESTED),
+    # (1, 0) belongs to the first rotation block, not to T
+    ("report", {"n": 2, "gamma": [1.0], "theta": [0.5], "b_skew": [[], [0.1]],
+                "t_lower": [[], [5.0]]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
         "fmc_k_max_float", "n_samples_float", "transients_alpha_nan",
         "transients_beta_inf", "fmc_alpha_nan", "fmc_beta_inf",
-        "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan"])
+        "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "fmc_n_huge",
+        "fmc_nested", "transients_nested", "props_nested", "report_nested",
+        "report_t_in_block"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
     code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
@@ -174,6 +211,28 @@ def test_out_of_range_number_exit_1(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_out_names_a_file_exit_1(tmp_path, capsys, command):
+    # a config that runs, so the command fails only on --out, before it
+    # does any work
+    train_config(tmp_path)
+    write_json(tmp_path / "fmc.json", {"sweep": [{"n": 4}]})
+    write_json(tmp_path / "transients.json", TRANSIENTS)
+    write_json(tmp_path / "props.json", PROPS)
+    save_checkpoint(init_params(8, rng_seed=0), tmp_path / "report.json")
+    config = str(tmp_path / f"{command}.json")
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path / "dir")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    out.write_text("a file\n")
+    code = cli.main([command, "--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out.read_text() == "a file\n"
 
 
 def test_train_corpus_not_a_string_exit_1(tmp_path):

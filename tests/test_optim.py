@@ -1,16 +1,12 @@
-import csv
-
 import numpy as np
 import pytest
 
 from schurrnn import tasks
 from schurrnn.optim import (
-    LOG_COLUMNS,
     DivergenceError,
     TrainConfig,
     rmsprop_step,
     train_loop,
-    write_log_csv,
 )
 from schurrnn.rnn import init_model
 from schurrnn.schur import assemble_v, backward_v, init_params, t_lower_mask
@@ -157,19 +153,6 @@ def test_carry_hidden_stream_respected():
     assert stream.batches[1].h0 is not None
     assert stream.batches[2].h0 is not None
     assert np.any(stream.batches[1].h0 != 0.0)
-
-
-def test_write_log_csv(tmp_path):
-    spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
-    model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
-    res = train_loop(model, tasks.copy_stream(spec),
-                     TrainConfig(max_updates=20, log_every=10))
-    path = tmp_path / "log.csv"
-    write_log_csv(res.records, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == LOG_COLUMNS
-    assert len(rows) == 3
 
 
 def test_training_determinism():

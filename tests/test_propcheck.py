@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
+from schurrnn import cli
 from schurrnn.propcheck import (
     _poly_matmul,
     iterate_growth_probe,
@@ -113,9 +114,14 @@ def test_verify_prop2_rejects_empty_check(n, t_max):
         verify_prop2(n, t_max)
 
 
-def test_verify_prop2_json_roundtrip():
-    rep = verify_prop2(4, 6)
-    doc = json.loads(rep.to_json())
+def test_verify_prop2_json_roundtrip(tmp_path):
+    # the report as `schurrnn props` writes it
+    config = tmp_path / "props.json"
+    config.write_text(json.dumps({"prop2": [{"n": 4, "t_max": 6}],
+                                  "prop1": []}))
+    out = tmp_path / "out"
+    assert cli.main(["props", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "prop2_00.json").read_text())
     assert doc["degree_ok"] and doc["recurrence_ok"]
     assert doc["n"] == 4 and doc["t_max"] == 6
 
