@@ -57,12 +57,19 @@ def _load_json(path):
 
 @contextlib.contextmanager
 def _named(where):
-    """A ``ValueError`` the library raises on a checked value becomes a
+    """A ``ValueError`` the library raises on a checked value, or a
+    ``MemoryError`` from a size it cannot allocate, becomes a
     :class:`ConfigError` that names ``where``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{where}: {exc}")
+
+
+def _quoted(value):
+    """``value`` as JSON, cut to 60 characters and ``...``."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 # JSON types a field of each Python type takes; a boolean is none of them.
@@ -95,7 +102,7 @@ def _checked(doc, types, required, where):
         json_type, name = _JSON_TYPES[types[key]]
         if isinstance(value, bool) or not isinstance(value, json_type):
             raise ConfigError(
-                f"{where}: {key} must be {name}, not {json.dumps(value)}")
+                f"{where}: {key} must be {name}, not {_quoted(value)}")
         if types[key] is float:
             try:
                 value = float(value)
@@ -104,7 +111,7 @@ def _checked(doc, types, required, where):
             if not math.isfinite(value):
                 raise ConfigError(
                     f"{where}: {key} must be a finite number, "
-                    f"not {json.dumps(doc[key])}")
+                    f"not {_quoted(doc[key])}")
         values[key] = value
     return values
 

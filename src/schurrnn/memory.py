@@ -115,13 +115,16 @@ def _covariance_factor(theta):
     """
     n = theta.shape[0]
     cap = TERMS_PER_UNIT * n
+    stack = np.empty((2 * n, n))   # [R; R A], refilled at each doubling
     r = np.eye(n)
     cols = np.eye(1, n)
     a = theta.T
     terms = 1
     prev = np.inf
     while True:
-        r = np.linalg.qr(np.vstack([r, r @ a]), mode="r")
+        stack[:n] = r
+        np.matmul(r, a, out=stack[n:])
+        r = np.linalg.qr(stack, mode="r")
         cols = np.vstack([cols, cols @ a])
         a = a @ a
         terms *= 2
@@ -138,22 +141,32 @@ def _covariance_factor(theta):
 
 def fmc_from_theta(theta, eps=1.0, k_max=0):
     """Fisher memory curve for an explicit matrix.  ``k_max = 0`` sums
-    until J(k) is negligible (past k = n), capped at 10n terms."""
+    until J(k) is negligible (past k = n), capped at 10n terms.
+
+    J(k) is |y_k|^2 / eps with R^T y_k = Theta^k e_1, one solve against
+    the factor for all columns at once.  C >= eps * I bounds J(k) by
+    |Theta^k e_1|^2 / eps, so with ``k_max = 0`` the curve ends at or
+    before the first k >= n whose column is below half the cut-off, and
+    that column is the last one solved for."""
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
     r, terms, cols = _covariance_factor(theta)
 
     limit = k_max if k_max else TERMS_PER_UNIT * n
     cutoff = 1e-14
-    # Columns Theta^k e_1: the factor's for k < K, one matvec each past K.
-    # C >= eps * I bounds J(k) by |Theta^k e_1|^2 / eps, so with k_max = 0
-    # the first k >= n whose column is below half the cut-off has J(k)
-    # below it too, and no later column is needed.
+    floor = 0.5 * cutoff * eps
+    # Columns Theta^k e_1: the factor's for k < K, one matvec each past K,
+    # up to the first negligible one from k = n on.
     cols = cols[: limit + 1]
+    if k_max == 0:
+        small = np.flatnonzero(
+            np.einsum("ij,ij->i", cols[n:], cols[n:]) < floor)
+        if small.size:
+            cols = cols[: n + small[0] + 1]
     extra = []
     v = cols[-1]
     for k in range(len(cols), limit + 1):
-        if k_max == 0 and k > n and v @ v < 0.5 * cutoff * eps:
+        if k_max == 0 and k > n and v @ v < floor:
             break
         v = theta @ v
         extra.append(v)
@@ -292,10 +305,21 @@ def _shift_chain_stats(x, alpha, unit_std, norms):
 
 
 def _ensemble(unit_std, norms):
-    """Summaries over the samples at each t; raises
-    :class:`DivergenceError` at the first t where one is not finite."""
-    summaries = np.array([unit_std.mean(axis=1), unit_std.std(axis=1),
-                          norms.mean(axis=1), norms.std(axis=1)])
+    """Summaries over the samples at each t, equal bit for bit to
+    ``np.mean`` and ``np.std`` along axis 1; raises
+    :class:`DivergenceError` at the first t where one is not finite.
+
+    Each row's mean is taken once, and the two statistics arrays are
+    centred and squared in place, so the caller must not need them after."""
+    summaries = []
+    for x in (unit_std, norms):
+        mean = x.mean(axis=1)
+        x -= mean[:, None]
+        np.square(x, out=x)
+        std = x.sum(axis=1)
+        std /= x.shape[1]
+        summaries += [mean, np.sqrt(std, out=std)]
+    summaries = np.array(summaries)
     bad = np.flatnonzero(~np.isfinite(summaries).all(axis=0))
     if bad.size:
         raise DivergenceError(
@@ -347,7 +371,11 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     its own last row only, skipping Theta's zero upper triangle.  Both
     rest on Theta being lower triangular; a quasi-triangular Theta (2x2
     blocks on the diagonal) would need the blocks' edges and the trim to
-    respect its pairs.
+    respect its pairs.  Each step reduces the live block to its per-sample
+    sum of squares and sum of units, written straight into the rows of
+    the two statistics arrays; after the loop the stepped rows become the
+    norm sqrt(sumsq) and the per-unit standard deviation
+    sqrt(max(sumsq/n - (sum/n)^2, 0)) in one pass over them.
 
     The prefix sums equal a dense GEMM step to rounding, not bit for bit:
     they add in another order than the per-step reductions.  Raises
@@ -374,16 +402,16 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     cur, nxt = x.T, np.empty((n, n_samples))
     del x
     k = 0   # cur[k:] holds the live units; the units before k are exactly 0
+    live = 0
     for t in range(t_max + 1):
         while k < n and not cur[k].any():
             k += 1
         if k == n:
             break
         h = cur[k:]
-        sumsq = np.einsum("ij,ij->j", h, h)
-        mean = h.sum(axis=0) / n
-        norms[t] = np.sqrt(sumsq)
-        unit_std[t] = np.sqrt(np.maximum(sumsq / n - mean * mean, 0.0))
+        np.einsum("ij,ij->j", h, h, out=norms[t])   # sum of squares
+        h.sum(axis=0, out=unit_std[t])               # sum
+        live = t + 1
         if t == t_max:
             break
         edges = [k + (n - k) * b // ROW_BLOCKS for b in range(ROW_BLOCKS + 1)]
@@ -393,5 +421,13 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor
             nxt = np.empty_like(cur)
-    del cur, nxt, h   # before the summaries' temporaries
+    del cur, nxt, h   # before the statistics' temporary
+    # the rows t < live hold sums of squares and sums
+    ns, us = norms[:live], unit_std[:live]
+    us /= n
+    np.square(us, out=us)
+    np.subtract(ns / n, us, out=us)
+    np.maximum(us, 0.0, out=us)
+    np.sqrt(us, out=us)
+    np.sqrt(ns, out=ns)
     return _ensemble(unit_std, norms)

@@ -120,11 +120,15 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"train": {"batch_size": 2**62}},
     {"task": {"kind": "copy", "delay": 2**62}},
     NESTED,
+    # sizes numpy can represent but no process can map (over 2**48 bytes)
+    {"train": {"batch_size": 2**50}},
+    {"task": {"kind": "copy", "delay": 2**50}},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
         "max_updates_negative", "log_every_negative", "max_updates_bool",
         "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
-        "batch_size_huge", "delay_huge", "nested"])
+        "batch_size_huge", "delay_huge", "nested", "batch_size_unallocatable",
+        "delay_unallocatable"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     # a string is the whole config document
     config = (write_json(tmp_path / "train.json", over)
@@ -140,6 +144,9 @@ def test_invalid_train_value_exit_1(tmp_path, capsys, over):
 # json.dump writes these as the non-standard NaN and Infinity literals,
 # which json.load reads back.
 NAN, INF = float("nan"), float("inf")
+DEEP_LIST = []
+for _ in range(899):
+    DEEP_LIST = [DEEP_LIST]
 TRANSIENTS = {"configs": [{"n": 10, "alpha": 1.05}], "n_samples": 1,
               "t_max": 12}
 PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
@@ -177,6 +184,11 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     # (1, 0) belongs to the first rotation block, not to T
     ("report", {"n": 2, "gamma": [1.0], "theta": [0.5], "b_skew": [[], [0.1]],
                 "t_lower": [[], [5.0]]}),
+    # sizes numpy can represent but no process can map (over 2**48 bytes)
+    ("transients", {**TRANSIENTS, "n_samples": 2**50}),
+    ("fmc", {"sweep": [{"n": 4}, {"n": 2**25}]}),
+    # a mistyped value quoted in the error line, nested 900 deep
+    ("fmc", {"sweep": [{"n": DEEP_LIST}]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
@@ -184,15 +196,19 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
         "transients_beta_inf", "fmc_alpha_nan", "fmc_beta_inf",
         "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "fmc_n_huge",
         "fmc_nested", "transients_nested", "props_nested", "report_nested",
-        "report_t_in_block"])
+        "report_t_in_block", "n_samples_unallocatable", "fmc_n_unallocatable",
+        "fmc_n_deep_list"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
-    code = cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
-                     "--out", str(out)])
+    config = write_json(tmp_path / "c.json", doc)
+    code = cli.main([command, "--config", config, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+    # one line, whatever the value; the config's path is the only long part
+    line, = err.splitlines()
+    assert len(line.replace(config, "")) < 200
 
 
 @pytest.mark.parametrize("text", [

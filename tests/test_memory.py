@@ -1,5 +1,7 @@
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,51 @@ def test_table_curve_lengths_and_terms():
         assert terms == {128 if d == 0.0 else 256}
 
 
+SWEEP = Path(memory.__file__).parent / "data" / "fmc_sweep_sm.json"
+TABLE_ROWS = json.loads(SWEEP.read_text())["sweep"]
+
+
+def fmc_solving_every_column(theta, eps=1.0, k_max=0):
+    """The curve from a solve for every column Theta^k e_1 the factor
+    gives (k < K), cut after: at k_max, or at the first k >= n with
+    J(k) < 1e-14, which must come before K."""
+    n = theta.shape[0]
+    r, _, cols = memory._covariance_factor(theta)
+    y = np.linalg.solve(r.T, cols.T)
+    curve = np.einsum("ij,ij->j", y, y) / eps
+    if k_max:
+        assert k_max < len(curve)
+        return curve[: k_max + 1]
+    small = np.flatnonzero(curve[n:] < 1e-14)
+    assert small.size
+    return curve[: n + small[0] + 1]
+
+
+@pytest.mark.parametrize(
+    "row", TABLE_ROWS + [dict(n=100, d=0.2, alpha=1.05, beta=0.005, k_max=200)],
+    ids=[f"a{r['alpha']}-b{r['beta']}-d{r['d']}" for r in TABLE_ROWS]
+    + ["k_max200"])
+def test_table_solve_stops_where_the_curve_ends(monkeypatch, row):
+    # Solving only up to the first negligible column gives the curve of
+    # solving every factor column, bit for bit, from fewer columns than
+    # the factor has.
+    theta = build_theta_family(FmcConfig(**row))
+    ref = fmc_solving_every_column(theta, k_max=row.get("k_max", 0))
+    solved = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solved.append(b.shape[1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    res = fmc_from_theta(theta, k_max=row.get("k_max", 0))
+    monkeypatch.undo()
+    assert np.array_equal(res.j_curve, ref)
+    (columns,) = solved
+    assert len(ref) <= columns < res.truncation_terms
+
+
 def test_fmc_divergence():
     with pytest.raises(DivergenceError, match="still growing"):
         fmc_from_theta(np.eye(3) * 1.01)
@@ -375,6 +422,29 @@ def test_prop1_tiny_alpha_delay_line_holds(alpha):
     assert rep.sigma_max == 1.0
 
 
+@pytest.mark.parametrize("n,t_max", [(100, 120), (100, 45), (5, 0)],
+                         ids=["bench_shape", "t_max_below_n", "t0"])
+def test_ensemble_summaries_equal_numpy(n, t_max):
+    # rows the ensembles produce: random, exactly zero (past a nilpotent
+    # chain's end) and constant across samples (t = 0 norms)
+    rng = np.random.default_rng(4)
+    unit_std = rng.uniform(0.0, 0.2, size=(t_max + 1, 1000))
+    norms = rng.lognormal(size=(t_max + 1, 1000))
+    unit_std[n:] = 0.0
+    norms[n:] = 0.0
+    norms[0] = 1.0
+    unit_std[t_max // 2] = 0.1
+    ref = [unit_std.mean(axis=1), np.std(unit_std, axis=1),
+           np.mean(norms, axis=1), np.std(norms, axis=1)]
+    stats = memory._ensemble(unit_std.copy(), norms.copy())
+    assert np.array_equal(stats.t, np.arange(t_max + 1))
+    got = [stats.unit_std_mean, stats.unit_std_std, stats.norm_mean,
+           stats.norm_std]
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    assert np.all(stats.norm_std[n:] == 0.0)
+
+
 def test_transient_nilpotent_cutoff():
     cfg = FmcConfig(n=20, d=0.0, alpha=1.05, beta=0.005)
     stats = transient_ensemble(cfg, n_samples=100, t_max=30, rng_seed=0)
@@ -511,12 +581,14 @@ def test_transient_allocation_budget(beta):
     seed again: the normalized draw of the last integer seed is held
     across calls and not allocated).  The statistics live in two
     (t_max + 1, n_samples) arrays (2.42 units).  With beta != 0 the state
-    lives in two reused buffers beside the held draw, and both are freed
-    before the summaries; a further state-sized array alive across the
-    loop, or statistics taken after the loop from full-size temporaries,
-    would break the budget.  With beta = 0 (and d = 0) one buffer holds
-    both prefix sums in turn, which are written straight into the
-    statistics arrays; gathering through temporaries would break it."""
+    lives in two reused buffers beside the held draw, each step writes its
+    sums straight into the statistics arrays, and both buffers are freed
+    before those sums are transformed (through one temporary of the
+    stepped rows) and summarized in place; a further state-sized array
+    alive across the loop would break the budget.  With beta = 0 (and
+    d = 0) one buffer holds both prefix sums in turn, which are written
+    straight into the statistics arrays; gathering through temporaries
+    would break it."""
     n, n_samples, t_max = 100, 1000, 120
     cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
     transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
