@@ -232,8 +232,9 @@ def cmd_train(config_path, out_dir, seed_override):
         )
 
     # A value too large for the task's batches fails on the first one.
+    size_key = "delay" if doc["task"]["kind"] == "copy" else "window"
     try:
-        with _named("train"):
+        with _named(f"train: a batch sized by batch_size and {size_key}"):
             result = train_loop(model, stream, config)
     except DivergenceError as exc:
         _write(out_dir, {"train_log.csv": _log_text(exc.records)})

@@ -17,6 +17,7 @@ the solves usable even when C itself is catastrophically ill-conditioned
 (condition numbers reach 1e23 for d = 0.2 with super-unit sub-diagonals).
 """
 
+import contextlib
 import functools
 import numbers
 from dataclasses import dataclass
@@ -273,58 +274,89 @@ class TransientStats:
     norm_std: np.ndarray
 
 
-def _shift_chain_stats(x, alpha, unit_std, norms):
-    """Fill the statistics rows t < n of ``unit_std`` and ``norms`` for
-    Theta = alpha * S, S the down-shift, from the normalized draw ``x``
-    (n_samples, n), which is only read.
+@contextlib.contextmanager
+def _sized_by(what):
+    """Name ``what`` in the error of an allocation it sizes: a
+    ``MemoryError``, or numpy's ``ValueError`` for an array too big to
+    describe."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{what}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _shift_chain_stats(x, alpha, summaries):
+    """Write the summaries at t < n for Theta = alpha * S, S the
+    down-shift, into the columns of ``summaries`` (see :func:`_ensemble`),
+    from the normalized draw ``x`` (n_samples, n), which is only read.
 
     h_t = alpha^t S^t x holds the first n - t units of x, so with P1 and
     P2 the sums of x and x^2 over those units, ||h_t|| = |alpha|^t sqrt(P2)
     and the per-unit standard deviation is |alpha|^t sqrt(P2/n - (P1/n)^2).
-    P1 and P2 for every t are the columns of two prefix sums along the
-    unit axis, read last column first; both are taken in one buffer."""
+    P1 and P2 for every t are two prefix sums along the unit axis, taken
+    unit-major in one (2, n, n_samples) buffer by one row addition per
+    unit, so step t is row n - 1 - t.  Both are transformed in place there,
+    each row scaled by |alpha|^t before the summaries over the samples
+    are taken, so an overflow shows in the summaries at the first t it
+    reaches."""
     n = x.shape[1]
-    m = min(len(norms), n)
-    ns, us = norms[:m], unit_std[:m]
-    buf = np.square(x)
-    np.cumsum(buf, axis=1, out=buf)
-    np.copyto(ns, buf[:, ::-1][:, :m].T)   # P2
-    np.cumsum(x, axis=1, out=buf)
-    np.copyto(us, buf[:, ::-1][:, :m].T)   # P1
-    # P2/n - (P1/n)^2, in place
-    np.square(us, out=us)
-    us /= -n
-    us += ns
-    us /= n
-    np.maximum(us, 0.0, out=us)
-    np.sqrt(us, out=us)
-    np.sqrt(ns, out=ns)
-    scale = (abs(alpha) ** np.arange(m))[:, None]
+    m = min(summaries.shape[1], n)
+    p = np.empty((2, n, x.shape[0]))
+    np.copyto(p[1], x.T)
+    np.square(p[1], out=p[0])
+    for j in range(1, n):
+        np.add(p[:, j - 1], p[:, j], out=p[:, j])
+    # the live rows, step m - 1 - i in row i
+    ns, us = p[:, n - m:]
+    _stats_from_sums(us, ns, n)
+    scale = (abs(alpha) ** np.arange(m - 1, -1, -1))[:, None]
     us *= scale
     ns *= scale
+    summaries = summaries[:, m - 1::-1]
+    _summarize(us, summaries[:2])
+    _summarize(ns, summaries[2:])
 
 
-def _ensemble(unit_std, norms):
-    """Summaries over the samples at each t, equal bit for bit to
-    ``np.mean`` and ``np.std`` along axis 1; raises
-    :class:`DivergenceError` at the first t where one is not finite.
+def _stats_from_sums(sums, sumsq, n):
+    """Turn each sample's sum of its n units and sum of their squares, in
+    place, into its per-unit standard deviation
+    sqrt(max(sumsq/n - (sum/n)^2, 0)) and its norm sqrt(sumsq)."""
+    np.square(sums, out=sums)
+    sums /= -n
+    sums += sumsq
+    sums /= n
+    np.maximum(sums, 0.0, out=sums)
+    np.sqrt(sums, out=sums)
+    np.sqrt(sumsq, out=sumsq)
 
-    Each row's mean is taken once, and the two statistics arrays are
-    centred and squared in place, so the caller must not need them after."""
-    summaries = []
-    for x in (unit_std, norms):
-        mean = x.mean(axis=1)
-        x -= mean[:, None]
-        np.square(x, out=x)
-        std = x.sum(axis=1)
-        std /= x.shape[1]
-        summaries += [mean, np.sqrt(std, out=std)]
-    summaries = np.array(summaries)
+
+def _summarize(x, out):
+    """Write the mean and the standard deviation of each row of ``x`` (one
+    t, its samples along the row) into ``out[0]`` and ``out[1]``, equal
+    bit for bit to ``np.mean`` and ``np.std`` along axis 1.  The mean is
+    taken once, and ``x`` is centred and squared in place, so the caller
+    must not need it after."""
+    mean, std = out
+    np.mean(x, axis=1, out=mean)
+    x -= mean[:, None]
+    np.square(x, out=x)
+    np.sum(x, axis=1, out=std)
+    std /= x.shape[1]
+    np.sqrt(std, out=std)
+
+
+def _ensemble(summaries):
+    """The :class:`TransientStats` of ``summaries``, whose four rows are
+    the mean and standard deviation over the samples of the per-unit
+    standard deviation and of the norm, one column per t.  Raises
+    :class:`DivergenceError` at the first t where one is not finite."""
     bad = np.flatnonzero(~np.isfinite(summaries).all(axis=0))
     if bad.size:
         raise DivergenceError(
             f"non-finite transient statistics at t = {bad[0]}")
-    return TransientStats(np.arange(len(norms)), *summaries)
+    return TransientStats(np.arange(summaries.shape[1]), *summaries)
 
 
 @functools.lru_cache(maxsize=1)
@@ -332,7 +364,9 @@ def _starting_states(rng_seed, n_samples, n):
     """The rows of one ``default_rng(rng_seed).normal(size=(n_samples, n))``
     draw, each normalized; read-only.  The cache holds the last integer
     seed's draw (see :func:`transient_ensemble`)."""
-    x = np.random.default_rng(rng_seed).normal(size=(n_samples, n))
+    rng = np.random.default_rng(rng_seed)
+    with _sized_by(f"n_samples = {n_samples} by n = {n}"):
+        x = rng.normal(size=(n_samples, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x.flags.writeable = False
     return x
@@ -356,8 +390,10 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units of the
     draw, so every statistic at t < n follows from prefix sums of the
     draw and of its squares along the unit axis, in O(n * n_samples)
-    work in all.  From t = n on (and from t = 1 on when alpha = 0) the
-    statistics are exactly 0.
+    work in all.  The prefix sums are taken unit-major, one row per unit,
+    and are transformed into the statistics and summarized in place in
+    that buffer; no (t_max + 1, n_samples) array is formed.  From t = n on
+    (and from t = 1 on when alpha = 0) the statistics are exactly 0.
 
     Otherwise each step is a GEMM on the live block of Theta.  The first
     step reads the draw itself; from then on the state is held unit-major
@@ -372,14 +408,18 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     rest on Theta being lower triangular; a quasi-triangular Theta (2x2
     blocks on the diagonal) would need the blocks' edges and the trim to
     respect its pairs.  Each step reduces the live block to its per-sample
-    sum of squares and sum of units, written straight into the rows of
-    the two statistics arrays; after the loop the stepped rows become the
+    sum of squares, written straight into a row of the norms array.  The
+    sum of units at step t is w_t . h_0 with w_t = (Theta^T)^t 1, so the
+    sums of every step come from one GEMM of the rows w_t with the draw,
+    taken before stepping.  After the loop the stepped rows become the
     norm sqrt(sumsq) and the per-unit standard deviation
     sqrt(max(sumsq/n - (sum/n)^2, 0)) in one pass over them.
 
-    The prefix sums equal a dense GEMM step to rounding, not bit for bit:
-    they add in another order than the per-step reductions.  Raises
-    :class:`DivergenceError` when a statistic overflows.
+    The prefix sums and the w_t equal a dense GEMM step to rounding, not
+    bit for bit: they add in another order than per-step reductions.
+    Raises :class:`DivergenceError` when a statistic overflows, and names
+    ``n_samples`` or ``t_max`` in the error of an array too large to
+    allocate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -388,15 +428,26 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     n = cfg.n
     t_max = t_max if t_max is not None else 2 * n
 
-    unit_std = np.zeros((t_max + 1, n_samples))
-    norms = np.zeros((t_max + 1, n_samples))
     draw = (_starting_states if isinstance(rng_seed, numbers.Integral)
             else _starting_states.__wrapped__)
     x = draw(rng_seed, n_samples, n)
+    with _sized_by(f"t_max = {t_max}"):
+        summaries = np.zeros((4, t_max + 1))
     if cfg.d == 0 and cfg.beta == 0:
-        _shift_chain_stats(x, cfg.alpha, unit_std, norms)
-        return _ensemble(unit_std, norms)
+        _shift_chain_stats(x, cfg.alpha, summaries)
+        return _ensemble(summaries)
     theta = build_theta_family(cfg)
+    with _sized_by(f"t_max = {t_max}"):
+        unit_std = np.empty((t_max + 1, n_samples))
+        norms = np.zeros((t_max + 1, n_samples))
+        w = np.empty((t_max + 1, n))
+    # Row t of w is (Theta^T)^t 1, so row t of w x^T is each sample's sum
+    # of units at step t: all of them in one GEMM, before the draw goes.
+    w[0] = 1.0
+    for t in range(t_max):
+        np.matmul(w[t], theta, out=w[t + 1])
+    np.matmul(w, x.T, out=unit_std)
+    del w
     # The draw is the first state, read unit-major through its transposed
     # view (a GEMM takes that layout at no cost).
     cur, nxt = x.T, np.empty((n, n_samples))
@@ -410,7 +461,6 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
             break
         h = cur[k:]
         np.einsum("ij,ij->j", h, h, out=norms[t])   # sum of squares
-        h.sum(axis=0, out=unit_std[t])               # sum
         live = t + 1
         if t == t_max:
             break
@@ -421,13 +471,10 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor
             nxt = np.empty_like(cur)
-    del cur, nxt, h   # before the statistics' temporary
-    # the rows t < live hold sums of squares and sums
-    ns, us = norms[:live], unit_std[:live]
-    us /= n
-    np.square(us, out=us)
-    np.subtract(ns / n, us, out=us)
-    np.maximum(us, 0.0, out=us)
-    np.sqrt(us, out=us)
-    np.sqrt(ns, out=ns)
-    return _ensemble(unit_std, norms)
+    # the rows t < live hold sums and sums of squares; the state is
+    # exactly zero from there on
+    unit_std[live:] = 0.0
+    _stats_from_sums(unit_std[:live], norms[:live], n)
+    _summarize(unit_std, summaries[:2])
+    _summarize(norms, summaries[2:])
+    return _ensemble(summaries)

@@ -30,6 +30,17 @@ def write_json(path, doc):
 # More levels than json's recursive decoder can take
 NESTED = "[" * 100000 + "]" * 100000
 
+# The config keys an error line names, by case id: those that size an
+# array too large to build.
+NAMED_KEYS = {
+    **dict.fromkeys(["batch_size_huge", "delay_huge",
+                     "batch_size_unallocatable", "delay_unallocatable"],
+                    ["batch_size", "delay"]),
+    "n_samples_unallocatable": ["n_samples"],
+    "t_max_huge": ["t_max"],
+    "t_max_unallocatable_beta": ["t_max"],
+}
+
 
 def train_config(tmp_path, **over):
     doc = {
@@ -129,7 +140,7 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
         "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
         "batch_size_huge", "delay_huge", "nested", "batch_size_unallocatable",
         "delay_unallocatable"])
-def test_invalid_train_value_exit_1(tmp_path, capsys, over):
+def test_invalid_train_value_exit_1(tmp_path, capsys, request, over):
     # a string is the whole config document
     config = (write_json(tmp_path / "train.json", over)
               if isinstance(over, str) else train_config(tmp_path, **over))
@@ -139,6 +150,8 @@ def test_invalid_train_value_exit_1(tmp_path, capsys, over):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+    for key in NAMED_KEYS.get(request.node.callspec.id, ()):
+        assert key in err.replace(config, "")
 
 
 # json.dump writes these as the non-standard NaN and Infinity literals,
@@ -189,6 +202,10 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("fmc", {"sweep": [{"n": 4}, {"n": 2**25}]}),
     # a mistyped value quoted in the error line, nested 900 deep
     ("fmc", {"sweep": [{"n": DEEP_LIST}]}),
+    # statistics too large to describe (beta = 0) or to map (beta != 0)
+    ("transients", {**TRANSIENTS, "t_max": 2**62}),
+    ("transients", {**TRANSIENTS, "t_max": 2**50,
+                    "configs": [{"n": 10, "alpha": 1.05, "beta": 0.1}]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
@@ -197,8 +214,9 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
         "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "fmc_n_huge",
         "fmc_nested", "transients_nested", "props_nested", "report_nested",
         "report_t_in_block", "n_samples_unallocatable", "fmc_n_unallocatable",
-        "fmc_n_deep_list"])
-def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
+        "fmc_n_deep_list", "t_max_huge", "t_max_unallocatable_beta"])
+def test_invalid_analysis_value_exit_1(tmp_path, capsys, request, command,
+                                      doc):
     out = tmp_path / "o"
     config = write_json(tmp_path / "c.json", doc)
     code = cli.main([command, "--config", config, "--out", str(out)])
@@ -209,6 +227,8 @@ def test_invalid_analysis_value_exit_1(tmp_path, capsys, command, doc):
     # one line, whatever the value; the config's path is the only long part
     line, = err.splitlines()
     assert len(line.replace(config, "")) < 200
+    for key in NAMED_KEYS.get(request.node.callspec.id, ()):
+        assert key in line.replace(config, "")
 
 
 @pytest.mark.parametrize("text", [

@@ -436,7 +436,10 @@ def test_ensemble_summaries_equal_numpy(n, t_max):
     unit_std[t_max // 2] = 0.1
     ref = [unit_std.mean(axis=1), np.std(unit_std, axis=1),
            np.mean(norms, axis=1), np.std(norms, axis=1)]
-    stats = memory._ensemble(unit_std.copy(), norms.copy())
+    summaries = np.empty((4, t_max + 1))
+    memory._summarize(unit_std.copy(), summaries[:2])
+    memory._summarize(norms.copy(), summaries[2:])
+    stats = memory._ensemble(summaries)
     assert np.array_equal(stats.t, np.arange(t_max + 1))
     got = [stats.unit_std_mean, stats.unit_std_std, stats.norm_mean,
            stats.norm_std]
@@ -541,12 +544,15 @@ def transient_oracle(cfg, h0, t_max):
     (dict(n=5, d=0.0, alpha=1.05, beta=0.1), 50, 9),
     (dict(n=5, d=0.3, alpha=1.05, beta=0.1), 50, 12),
     (dict(n=2 * ROW_BLOCKS + 3, d=0.4, alpha=1.02, beta=0.05), 60, 30),
+    (dict(n=30, d=0.0, alpha=1.05, beta=0.0), 1, 45),
+    (dict(n=30, d=0.0, alpha=0.95, beta=0.0), 200, 29),
 ], ids=["d0", "d0_beta", "d_positive", "bench_shape", "bidiagonal_bench_shape",
         "bidiagonal_d_positive", "bidiagonal_n2_d0", "bidiagonal_n2_d_positive",
         "n3_t0", "shift_bench_shape_a0.95", "shift_bench_shape_a1.0",
         "shift_t_max_below_n", "shift_alpha0", "shift_alpha_negative",
         "shift_n2", "shift_t0", "n3_steps", "n5_steps", "n5_d_positive",
-        "d_positive_uneven_blocks"])
+        "d_positive_uneven_blocks", "shift_one_sample",
+        "shift_t_max_n_minus_1"])
 def test_transient_matches_dense_oracle(row, n_samples, t_max):
     cfg = FmcConfig(**row)
     stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
@@ -558,6 +564,9 @@ def test_transient_matches_dense_oracle(row, n_samples, t_max):
     for g, r in zip(got, ref):
         # atol covers norm_std[0], rounding noise around 1e-16
         np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+    if n_samples == 1:
+        assert np.all(stats.unit_std_std == 0.0)
+        assert np.all(stats.norm_std == 0.0)
 
 
 def test_transient_draw_is_prefix_stable():
@@ -576,28 +585,30 @@ def test_transient_draw_is_prefix_stable():
 @pytest.mark.parametrize("beta", [0.0, 0.005])
 def test_transient_allocation_budget(beta):
     """Peak traced allocation of one ensemble at the benchmark shape, in
-    units of one (n, n_samples) float64 state, on a cold call (a seed not
-    drawn before, so the draw is allocated) and on a warm one (the same
-    seed again: the normalized draw of the last integer seed is held
-    across calls and not allocated).  The statistics live in two
-    (t_max + 1, n_samples) arrays (2.42 units).  With beta != 0 the state
-    lives in two reused buffers beside the held draw, each step writes its
-    sums straight into the statistics arrays, and both buffers are freed
-    before those sums are transformed (through one temporary of the
-    stepped rows) and summarized in place; a further state-sized array
-    alive across the loop would break the budget.  With beta = 0 (and
-    d = 0) one buffer holds both prefix sums in turn, which are written
-    straight into the statistics arrays; gathering through temporaries
-    would break it."""
+    units of one (n, n_samples) float64 state: on a cold call (a seed not
+    drawn before, so the draw is allocated and then held), on a warm one
+    (the same seed again: the normalized draw of the last integer seed is
+    held across calls and not allocated) and on a fresh draw (a Generator
+    seed, drawn on every call and not held).  With beta != 0 the
+    statistics live in two (t_max + 1, n_samples) arrays (2.42 units) and
+    the state in two reused buffers beside the draw; the unit sums of all
+    steps come from one GEMM before stepping, each step writes its sum of
+    squares straight into the norms array, and the sums are transformed
+    and summarized in place: about 5.61, 4.61 and 4.61 units.  A further
+    state-sized array alive across the loop would break the budget.  With
+    beta = 0 (and d = 0) the two prefix sums are taken, transformed and
+    summarized in one (2, n, n_samples) buffer: about 3.09, 2.09 and 3.09
+    units, against 4.50, 3.50 and 4.50 when they were copied into two
+    (t_max + 1, n_samples) arrays first."""
     n, n_samples, t_max = 100, 1000, 120
     cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
     transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
                        rng_seed=0)  # warm up
-    for _ in ("cold", "warm"):
+    for seed in (1, 1, np.random.default_rng(1)):   # cold, warm, fresh
         tracemalloc.start()
         try:
             transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
-                               rng_seed=1)
+                               rng_seed=seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
