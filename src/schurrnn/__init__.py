@@ -22,6 +22,7 @@ from .memory import (
     build_theta_family,
     delay_line_fmc_closed_form,
     delay_line_theta,
+    ensemble_from_theta,
     fisher_memory_curve,
     fmc_from_theta,
     prop1_bound_check,

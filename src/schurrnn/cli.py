@@ -179,10 +179,17 @@ def _report_files(params):
 
 # --- train --------------------------------------------------------------------
 
+# The keys each task kind reads, with their types.
+_TASK_KEYS = {"copy": {"kind": str, "delay": int},
+              "char_lm": {"kind": str, "corpus": str, "window": int}}
+
+
 def _build_task(doc, batch_size, seed):
-    doc = _checked(doc, {"kind": str, "delay": int, "corpus": str,
-                         "window": int}, {"kind"}, "task")
-    kind = doc["kind"]
+    kind = _checked(doc, {"kind": str, "delay": int, "corpus": str,
+                          "window": int}, {"kind"}, "task")["kind"]
+    if kind not in _TASK_KEYS:
+        raise ConfigError(f"task: unknown kind {kind!r}")
+    doc = _checked(doc, _TASK_KEYS[kind], {"kind"}, f"task of kind {kind!r}")
     if kind == "char_lm" and "corpus" not in doc:
         raise ConfigError("task: char_lm requires a corpus path")
     try:
@@ -193,17 +200,15 @@ def _build_task(doc, batch_size, seed):
                 seed=seed,
             )
             return tasks.copy_stream(spec), tasks.COPY_D_IN, tasks.COPY_D_OUT
-        if kind == "char_lm":
-            spec = tasks.CharLmSpec(
-                corpus_path=doc["corpus"],
-                window=doc.get("window", 150),
-                batch_size=batch_size,
-                seed=seed,
-            )
-            return tasks.char_lm_stream(spec), spec.vocab_size, spec.vocab_size
+        spec = tasks.CharLmSpec(
+            corpus_path=doc["corpus"],
+            window=doc.get("window", 150),
+            batch_size=batch_size,
+            seed=seed,
+        )
+        return tasks.char_lm_stream(spec), spec.vocab_size, spec.vocab_size
     except (OSError, ValueError) as exc:
         raise ConfigError(f"task: {exc}")
-    raise ConfigError(f"task: unknown kind {kind!r}")
 
 
 def _log_text(records):

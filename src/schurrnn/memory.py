@@ -1,8 +1,10 @@
-"""Fisher memory analytics and transient-dynamics ensembles for
-structured lower-triangular connectivity.
+"""Fisher memory analytics and transient-dynamics ensembles for any
+square connectivity matrix Theta (``fmc_from_theta``,
+``ensemble_from_theta``), with wrappers for a structured lower-triangular
+family (``fisher_memory_curve``, ``transient_ensemble``).
 
-The matrix family has d on the diagonal, alpha on the first sub-diagonal
-and beta everywhere below that.  The Fisher memory curve J(k) measures how
+The family has d on the diagonal, alpha on the first sub-diagonal and
+beta everywhere below that.  The Fisher memory curve J(k) measures how
 much information the hidden state retains about a scalar input injected k
 steps earlier under i.i.d. Gaussian noise of variance eps:
 
@@ -34,6 +36,7 @@ __all__ = [
     "fisher_memory_curve",
     "fmc_from_theta",
     "delay_line_fmc_closed_form",
+    "ensemble_from_theta",
     "prop1_bound_check",
     "Prop1Report",
     "transient_ensemble",
@@ -47,7 +50,7 @@ __all__ = [
 # same multiple of n unless k_max says otherwise.
 SERIES_TOL = 1e-12
 TERMS_PER_UNIT = 10
-# Row blocks of each transient step's GEMM (see transient_ensemble).
+# Row blocks of each transient step's GEMM (see ensemble_from_theta).
 ROW_BLOCKS = 4
 
 
@@ -78,10 +81,25 @@ class FmcResult:
     truncation_terms: int   # terms K of the covariance sum, a power of two
 
 
+@contextlib.contextmanager
+def _sized_by(what):
+    """Name ``what`` in the error of an allocation it sizes: a
+    ``MemoryError``, or numpy's ``ValueError`` for an array too big to
+    describe."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{what}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def build_theta_family(cfg):
-    """Assemble the (d, alpha, beta) lower-triangular family."""
+    """Assemble the (d, alpha, beta) lower-triangular family; ``n`` is
+    named in the error of a Theta too large to allocate."""
     n = cfg.n
-    theta = np.tril(np.full((n, n), cfg.beta, dtype=float), -2)
+    with _sized_by(f"n = {n}"):
+        theta = np.tril(np.full((n, n), cfg.beta, dtype=float), -2)
     theta[np.arange(1, n), np.arange(n - 1)] = cfg.alpha
     np.fill_diagonal(theta, cfg.d)
     return theta
@@ -215,6 +233,19 @@ class Prop1Report:
     holds: bool
 
 
+def _checked_theta(theta):
+    """``theta`` as a float64 array, after checking that it is a finite
+    square matrix of order n >= 2."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValueError(f"theta must be square, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta contains non-finite entries")
+    if theta.shape[0] < 2:
+        raise ValueError("n must be >= 2")
+    return theta
+
+
 def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     """Verify the lower bound on the memory curve of a strictly
     lower-triangular matrix with sqrt(alpha) on its sub-diagonal:
@@ -228,14 +259,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     diagonal.  A violation beyond ``slack`` signals an implementation bug,
     so it raises.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValueError(f"theta must be square, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta contains non-finite entries")
+    theta = _checked_theta(theta)
     n = theta.shape[0]
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if np.any(np.triu(theta) != 0.0):
         raise ValueError("theta must be strictly lower triangular")
     sub = np.diag(theta, -1)
@@ -272,19 +297,6 @@ class TransientStats:
     unit_std_std: np.ndarray
     norm_mean: np.ndarray
     norm_std: np.ndarray
-
-
-@contextlib.contextmanager
-def _sized_by(what):
-    """Name ``what`` in the error of an allocation it sizes: a
-    ``MemoryError``, or numpy's ``ValueError`` for an array too big to
-    describe."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise MemoryError(f"{what}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
 
 
 def _shift_chain_stats(x, alpha, summaries):
@@ -363,7 +375,7 @@ def _ensemble(summaries):
 def _starting_states(rng_seed, n_samples, n):
     """The rows of one ``default_rng(rng_seed).normal(size=(n_samples, n))``
     draw, each normalized; read-only.  The cache holds the last integer
-    seed's draw (see :func:`transient_ensemble`)."""
+    seed's draw (see :func:`ensemble_from_theta`)."""
     rng = np.random.default_rng(rng_seed)
     with _sized_by(f"n_samples = {n_samples} by n = {n}"):
         x = rng.normal(size=(n_samples, n))
@@ -372,12 +384,13 @@ def _starting_states(rng_seed, n_samples, n):
     return x
 
 
-def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
+def ensemble_from_theta(theta, n_samples=1000, t_max=None, rng_seed=0):
     """Iterate h_{t+1} = Theta h_t from initial conditions uniform on the
     unit hypersphere (normalized Gaussians) and return ensemble statistics
     of the per-unit standard deviation and the state norm at each t.
 
-    The starting states are the rows of one
+    Theta is any finite square matrix of order n >= 2; its structure picks
+    the path.  The starting states are the rows of one
     ``np.random.default_rng(rng_seed).normal(size=(n_samples, n))`` draw,
     each normalized.  The draw fills row by row, so sample s depends only
     on (seed, s, n): the first m samples are the same for any
@@ -386,10 +399,10 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     the same (seed, n_samples, n) draw once.  Any other seed (None, a
     SeedSequence or a Generator) draws afresh on every call.
 
-    For d = beta = 0, Theta = alpha * S with S the down-shift, and nothing
-    is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units of the
-    draw, so every statistic at t < n follows from prefix sums of the
-    draw and of its squares along the unit axis, in O(n * n_samples)
+    When Theta equals alpha * S, S the down-shift (one O(n^2) comparison),
+    nothing is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units
+    of the draw, so every statistic at t < n follows from prefix sums of
+    the draw and of its squares along the unit axis, in O(n * n_samples)
     work in all.  The prefix sums are taken unit-major, one row per unit,
     and are transformed into the statistics and summarized in place in
     that buffer; no (t_max + 1, n_samples) array is formed.  From t = n on
@@ -398,34 +411,38 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     Otherwise each step is a GEMM on the live block of Theta.  The first
     step reads the draw itself; from then on the state is held unit-major
     in two reused C-ordered (n, n_samples) buffers, and each step writes
-    from one into the other.  Theta is lower triangular, so leading units
-    that are exactly zero in every sample stay zero: each step acts only
-    on the trailing live block, and stepping stops once the whole state is
-    zero (from t = n on when d = 0), leaving the remaining statistics
-    exactly 0.  For the same reason each step splits the live rows into
-    ROW_BLOCKS row blocks and multiplies each by the live columns up to
-    its own last row only, skipping Theta's zero upper triangle.  Both
-    rest on Theta being lower triangular; a quasi-triangular Theta (2x2
-    blocks on the diagonal) would need the blocks' edges and the trim to
-    respect its pairs.  Each step reduces the live block to its per-sample
-    sum of squares, written straight into a row of the norms array.  The
-    sum of units at step t is w_t . h_0 with w_t = (Theta^T)^t 1, so the
-    sums of every step come from one GEMM of the rows w_t with the draw,
-    taken before stepping.  After the loop the stepped rows become the
-    norm sqrt(sumsq) and the per-unit standard deviation
-    sqrt(max(sumsq/n - (sum/n)^2, 0)) in one pass over them.
+    from one into the other.  Leading units that are exactly zero in every
+    sample are trimmed: for a draw in general position such a unit has a
+    zero row in Theta^t, and Theta^{t+1} = Theta^t Theta keeps that row
+    zero.  So each step acts only on the trailing live block, and stepping
+    stops once the whole state is zero (from t = n on for a strictly lower
+    triangular Theta), leaving the remaining statistics exactly 0.  Each
+    step splits the live rows into ROW_BLOCKS row blocks, and each block's
+    columns stop one past the last nonzero column of Theta's rows up to
+    its last row, read once from Theta's nonzero pattern, and never before
+    one past that row: for a lower-triangular Theta this skips the zero
+    upper triangle, and for the Schur form it keeps Theta[2i, 2i+1].  Each
+    step reduces the live block to its per-sample sum of squares, written
+    straight into a row of the norms array.  The sum of units at step t is
+    w_t . h_0 with w_t = (Theta^T)^t 1, so the sums of every step come
+    from one GEMM of the rows w_t with the draw, taken before stepping.
+    After the loop the stepped rows become the norm sqrt(sumsq) and the
+    per-unit standard deviation sqrt(max(sumsq/n - (sum/n)^2, 0)) in one
+    pass over them.
 
     The prefix sums and the w_t equal a dense GEMM step to rounding, not
     bit for bit: they add in another order than per-step reductions.
-    Raises :class:`DivergenceError` when a statistic overflows, and names
-    ``n_samples`` or ``t_max`` in the error of an array too large to
-    allocate.
+    Raises ``ValueError`` for a Theta that is not a finite square matrix
+    of order n >= 2, :class:`DivergenceError` when a statistic overflows,
+    and names ``n_samples`` or ``t_max`` in the error of an array too
+    large to allocate.
     """
+    theta = _checked_theta(theta)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be >= 0")
-    n = cfg.n
+    n = theta.shape[0]
     t_max = t_max if t_max is not None else 2 * n
 
     draw = (_starting_states if isinstance(rng_seed, numbers.Integral)
@@ -433,10 +450,13 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     x = draw(rng_seed, n_samples, n)
     with _sized_by(f"t_max = {t_max}"):
         summaries = np.zeros((4, t_max + 1))
-    if cfg.d == 0 and cfg.beta == 0:
-        _shift_chain_stats(x, cfg.alpha, summaries)
+    if np.array_equal(theta, theta[1, 0] * np.eye(n, k=-1)):
+        _shift_chain_stats(x, theta[1, 0], summaries)
         return _ensemble(summaries)
-    theta = build_theta_family(cfg)
+    # The rows before r need only the columns before end[r]: one past the
+    # last nonzero of any of them, and never fewer than r.
+    end = np.where(np.logical_or(np.tri(n), theta), np.arange(1, n + 1), 0)
+    end = [0] + np.maximum.accumulate(end.max(axis=1)).tolist()
     with _sized_by(f"t_max = {t_max}"):
         unit_std = np.empty((t_max + 1, n_samples))
         norms = np.zeros((t_max + 1, n_samples))
@@ -466,7 +486,7 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
             break
         edges = [k + (n - k) * b // ROW_BLOCKS for b in range(ROW_BLOCKS + 1)]
         for r0, r1 in zip(edges[:-1], edges[1:]):
-            np.matmul(theta[r0:r1, k:r1], cur[k:r1], out=nxt[r0:r1])
+            np.matmul(theta[r0:r1, k:end[r1]], cur[k:end[r1]], out=nxt[r0:r1])
         cur, nxt = nxt, cur
         if t == 0:
             nxt = h = None   # drop the draw before allocating its successor
@@ -478,3 +498,9 @@ def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
     _summarize(unit_std, summaries[:2])
     _summarize(norms, summaries[2:])
     return _ensemble(summaries)
+
+
+def transient_ensemble(cfg, n_samples=1000, t_max=None, rng_seed=0):
+    """:func:`ensemble_from_theta` of the (d, alpha, beta) family."""
+    return ensemble_from_theta(build_theta_family(cfg), n_samples, t_max,
+                               rng_seed)

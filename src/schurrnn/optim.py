@@ -11,7 +11,6 @@ RMSprop normalization.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,8 +75,6 @@ class LogRecord:
 @dataclass
 class TrainResult:
     records: list
-    model: object
-    final_hidden: Optional[np.ndarray] = None
 
 
 def _grad_norm(arrays):
@@ -162,4 +159,4 @@ def train_loop(model, stream, config):
                 grad_norm_total=_grad_norm(g for _, _, g, _ in table),
             ))
 
-    return TrainResult(records=records, model=model, final_hidden=last_hidden)
+    return TrainResult(records=records)

@@ -39,7 +39,11 @@ NAMED_KEYS = {
     "n_samples_unallocatable": ["n_samples"],
     "t_max_huge": ["t_max"],
     "t_max_unallocatable_beta": ["t_max"],
+    "copy_char_lm_keys": ["corpus", "window"],
+    "char_lm_delay": ["delay"],
+    "transients_n_unallocatable": ["n = 33554432"],
 }
+CORPUS = str(ROOT / "src" / "schurrnn" / "data" / "corpus.txt")
 
 
 def train_config(tmp_path, **over):
@@ -134,12 +138,16 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     # sizes numpy can represent but no process can map (over 2**48 bytes)
     {"train": {"batch_size": 2**50}},
     {"task": {"kind": "copy", "delay": 2**50}},
+    # keys of the other task kind, which this kind never reads
+    {"task": {"kind": "copy", "delay": 5, "window": 7,
+              "corpus": "nonexistent.txt"}},
+    {"task": {"kind": "char_lm", "corpus": CORPUS, "window": 8, "delay": 5}},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
         "max_updates_negative", "log_every_negative", "max_updates_bool",
         "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
         "batch_size_huge", "delay_huge", "nested", "batch_size_unallocatable",
-        "delay_unallocatable"])
+        "delay_unallocatable", "copy_char_lm_keys", "char_lm_delay"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, request, over):
     # a string is the whole config document
     config = (write_json(tmp_path / "train.json", over)
@@ -206,6 +214,8 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("transients", {**TRANSIENTS, "t_max": 2**62}),
     ("transients", {**TRANSIENTS, "t_max": 2**50,
                     "configs": [{"n": 10, "alpha": 1.05, "beta": 0.1}]}),
+    # a Theta of 8 PiB, the first array a transients row builds
+    ("transients", {**TRANSIENTS, "configs": [{"n": 2**25, "alpha": 1.05}]}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
@@ -214,7 +224,8 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
         "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "fmc_n_huge",
         "fmc_nested", "transients_nested", "props_nested", "report_nested",
         "report_t_in_block", "n_samples_unallocatable", "fmc_n_unallocatable",
-        "fmc_n_deep_list", "t_max_huge", "t_max_unallocatable_beta"])
+        "fmc_n_deep_list", "t_max_huge", "t_max_unallocatable_beta",
+        "transients_n_unallocatable"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, request, command,
                                       doc):
     out = tmp_path / "o"

@@ -16,12 +16,18 @@ from schurrnn.memory import (
     build_theta_family,
     delay_line_fmc_closed_form,
     delay_line_theta,
+    ensemble_from_theta,
     fisher_memory_curve,
     fmc_from_theta,
     prop1_bound_check,
     transient_ensemble,
 )
-from schurrnn.schur import DivergenceError
+from schurrnn.schur import (
+    DivergenceError,
+    assemble_theta,
+    init_params,
+    t_lower_mask,
+)
 
 
 def noise_covariance(theta, eps=1.0):
@@ -404,6 +410,19 @@ def test_prop1_rejects_malformed_input():
         prop1_bound_check(th)
 
 
+@pytest.mark.parametrize("theta,match", [
+    (np.zeros((4, 3)), "square"),
+    (np.zeros(4), "square"),
+    (np.zeros((2, 2, 2)), "square"),
+    (np.zeros((1, 1)), "n must be >= 2"),
+    (np.diag([1.0, np.inf]), "non-finite"),
+    (np.full((3, 3), np.nan), "non-finite"),
+], ids=["not_square", "1d", "3d", "n1", "inf", "nan"])
+def test_ensemble_from_theta_rejects_malformed_theta(theta, match):
+    with pytest.raises(ValueError, match=match):
+        ensemble_from_theta(theta, n_samples=5, t_max=3)
+
+
 def test_prop1_rejects_tiny_nonconstant_subdiagonal():
     # constant to numpy's default absolute tolerance of 1e-8, yet J(2) =
     # 8.1e-35 lies below the bound 6.6e-33 that alpha = (9e-9)^2 gives
@@ -507,10 +526,9 @@ def library_starting_states(n, n_samples, seed):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def transient_oracle(cfg, h0, t_max):
+def transient_oracle(theta, h0, t_max):
     """The dense loop: the full h @ Theta^T, np.std and np.linalg.norm at
     every step, from the sample-major starting states ``h0``."""
-    theta = build_theta_family(cfg)
     h = h0
     unit_std = np.empty((t_max + 1, len(h0)))
     norms = np.empty((t_max + 1, len(h0)))
@@ -521,6 +539,43 @@ def transient_oracle(cfg, h0, t_max):
             h = h @ theta.T
     return (unit_std.mean(axis=1), unit_std.std(axis=1),
             norms.mean(axis=1), norms.std(axis=1))
+
+
+def schur_form_theta(n, gamma_range, t_frobenius, seed):
+    """Theta of the Schur form: rotations with moduli uniform in
+    ``gamma_range`` and a Gaussian T on its mask, scaled to
+    ``t_frobenius``.  Row 2i has its nonzero Theta[2i, 2i+1] above the
+    diagonal."""
+    p = init_params(n, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    p.gamma = rng.uniform(*gamma_range, size=n // 2)
+    t = np.where(t_lower_mask(n), rng.normal(size=(n, n)), 0.0)
+    p.t_lower = t * (t_frobenius / np.linalg.norm(t))
+    return assemble_theta(p)
+
+
+def _thetas(n=20):
+    """Matrices outside the family, by name, each with whether it is
+    alpha times the down-shift (the prefix-sum path)."""
+    rng = np.random.default_rng(11)
+    # Unit u of this nilpotent matrix is row order[u] of a strictly lower
+    # L, so it dies at t = order[u] + 1: out of order, with the leading
+    # units trimmed at t = 1, 3, 5, ... while later ones still live.
+    order = [0] + [u + 1 if u % 2 else u - 1 for u in range(1, n - 1)] + [n - 1]
+    nilpotent = np.tril(rng.normal(size=(n, n)), -1)[np.ix_(order, order)]
+    shift_one_beta = 1.05 * np.eye(n, k=-1)
+    shift_one_beta[7, 2] = 0.01
+    return {
+        "schur_form": (schur_form_theta(n, (0.95, 1.05), 1.5, 3), False),
+        "dense": (rng.normal(size=(n, n)) / np.sqrt(n), False),
+        "permuted_nilpotent": (nilpotent, False),
+        "upper_shift": (1.05 * np.eye(n, k=1), False),
+        "delay_line": (delay_line_theta(n, 1.05), True),
+        "shift_one_beta": (shift_one_beta, False),
+    }
+
+
+THETAS = _thetas()
 
 
 @pytest.mark.parametrize("row,n_samples,t_max", [
@@ -546,19 +601,40 @@ def transient_oracle(cfg, h0, t_max):
     (dict(n=2 * ROW_BLOCKS + 3, d=0.4, alpha=1.02, beta=0.05), 60, 30),
     (dict(n=30, d=0.0, alpha=1.05, beta=0.0), 1, 45),
     (dict(n=30, d=0.0, alpha=0.95, beta=0.0), 200, 29),
+    *[(name, n_samples, 40) for name in THETAS for n_samples in (200, 5)],
 ], ids=["d0", "d0_beta", "d_positive", "bench_shape", "bidiagonal_bench_shape",
         "bidiagonal_d_positive", "bidiagonal_n2_d0", "bidiagonal_n2_d_positive",
         "n3_t0", "shift_bench_shape_a0.95", "shift_bench_shape_a1.0",
         "shift_t_max_below_n", "shift_alpha0", "shift_alpha_negative",
         "shift_n2", "shift_t0", "n3_steps", "n5_steps", "n5_d_positive",
         "d_positive_uneven_blocks", "shift_one_sample",
-        "shift_t_max_n_minus_1"])
-def test_transient_matches_dense_oracle(row, n_samples, t_max):
-    cfg = FmcConfig(**row)
-    stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
-                               rng_seed=7)
+        "shift_t_max_n_minus_1",
+        *[f"{name}_{n_samples}" for name in THETAS for n_samples in (200, 5)]])
+def test_transient_matches_dense_oracle(monkeypatch, row, n_samples, t_max):
+    # a family row runs through transient_ensemble, a named matrix
+    # through ensemble_from_theta; either way the path must follow Theta
+    calls = []
+    shift_chain_stats = memory._shift_chain_stats
+
+    def spy(*args):
+        calls.append(args)
+        return shift_chain_stats(*args)
+
+    monkeypatch.setattr(memory, "_shift_chain_stats", spy)
+    if isinstance(row, str):
+        theta, prefix_path = THETAS[row]
+        stats = ensemble_from_theta(theta, n_samples=n_samples, t_max=t_max,
+                                    rng_seed=7)
+    else:
+        cfg = FmcConfig(**row)
+        theta = build_theta_family(cfg)
+        # n = 2 has no entry for beta
+        prefix_path = cfg.d == 0 and (cfg.beta == 0 or cfg.n == 2)
+        stats = transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
+                                   rng_seed=7)
+    assert bool(calls) == prefix_path
     ref = transient_oracle(
-        cfg, library_starting_states(cfg.n, n_samples, 7), t_max)
+        theta, library_starting_states(len(theta), n_samples, 7), t_max)
     got = (stats.unit_std_mean, stats.unit_std_std,
            stats.norm_mean, stats.norm_std)
     for g, r in zip(got, ref):
@@ -569,6 +645,58 @@ def test_transient_matches_dense_oracle(row, n_samples, t_max):
         assert np.all(stats.norm_std == 0.0)
 
 
+TRANSIENT_ROWS = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "transients.json")
+    .read_text())["configs"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "schur_form"],
+                         ids=["row0", "row1", "row2", "row3", "schur_form"])
+def test_ensemble_mean_energy_matches_frobenius_curve(case, seed):
+    """For x uniform on the unit sphere, E||Theta^t x||^2 = ||Theta^t||_F^2
+    / n, and the sampled mean of ||h_t||^2 is norm_mean^2 + norm_std^2.
+    Likewise E[(1 . Theta^t x)^2] = ||1^T Theta^t||^2 / n, so the mean
+    per-unit variance, unit_std_mean^2 + unit_std_std^2 sampled, is
+    ||Theta^t||_F^2 / n^2 - ||1^T Theta^t||^2 / n^3.  Each must lie within
+    5 standard errors of its exact curve, taken from the per-sample values
+    of the dense loop.  The exact curves share no code with the ensemble's
+    paths: the prefix sums, the unit-sum GEMM, the row blocks and the
+    trim."""
+    n_samples, t_max = 1000, 120
+    if case == "schur_form":
+        # the Theta of a trained copy network: gamma in [0.967, 1.035],
+        # ||T||_F = 2.66
+        theta = schur_form_theta(100, (0.967, 1.035), 2.66, 0)
+        stats = ensemble_from_theta(theta, n_samples, t_max, seed)
+    else:
+        cfg = FmcConfig(**TRANSIENT_ROWS[case])
+        theta = build_theta_family(cfg)
+        stats = transient_ensemble(cfg, n_samples, t_max, seed)
+    n = len(theta)
+    exact = np.empty((2, t_max + 1))
+    per_sample = np.empty((2, t_max + 1, n_samples))
+    power = np.eye(n)
+    h = library_starting_states(n, n_samples, seed)
+    for t in range(t_max + 1):
+        exact[0, t] = np.sum(power**2) / n
+        exact[1, t] = exact[0, t] / n - np.sum(power.sum(axis=0)**2) / n**3
+        per_sample[:, t] = np.sum(h**2, axis=1), h.var(axis=1)
+        power = theta @ power
+        h = h @ theta.T
+    if case != "schur_form" and cfg.beta == 0:
+        # the shift chain's curve in closed form: alpha^2t (n - t) / n
+        t = np.arange(n)
+        np.testing.assert_allclose(
+            exact[0, :n], cfg.alpha ** (2 * t) * (n - t) / n, rtol=1e-12)
+    sampled = [stats.norm_mean**2 + stats.norm_std**2,
+               stats.unit_std_mean**2 + stats.unit_std_std**2]
+    se = per_sample.std(axis=2, ddof=1) / np.sqrt(n_samples)
+    # the rounding allowance covers t = 0, where every energy is 1
+    for got, ref, err in zip(sampled, exact, se):
+        assert np.all(np.abs(got - ref) <= 5 * err + 1e-12 * ref)
+
+
 def test_transient_draw_is_prefix_stable():
     # sample s's starting state does not depend on n_samples
     n, seed = 12, 5
@@ -576,7 +704,7 @@ def test_transient_draw_is_prefix_stable():
     assert np.array_equal(first, library_starting_states(n, 20, seed))
     cfg = FmcConfig(n=n, d=0.0, alpha=1.05, beta=0.005)
     stats = transient_ensemble(cfg, n_samples=20, t_max=15, rng_seed=seed)
-    ref = transient_oracle(cfg, first, 15)
+    ref = transient_oracle(build_theta_family(cfg), first, 15)
     np.testing.assert_allclose(stats.norm_mean, ref[2], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(stats.unit_std_mean, ref[0], rtol=1e-12,
                                atol=1e-14)
