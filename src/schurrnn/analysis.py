@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .propcheck import iterate_growth_probe
 from .schur import assemble_v
 
 __all__ = ["ConnectivityReport", "connectivity_report"]
@@ -30,6 +31,7 @@ class ConnectivityReport:
     theta_frobenius: float
     top_singular_value: float
     spectral_radius: float           # max gamma: V's eigenvalues are gamma e^{+-i theta}
+    growth: str                      # iterate_growth_probe's label of Theta
 
     @property
     def nonnormality_ratio(self):
@@ -51,7 +53,9 @@ def connectivity_report(p):
     """Diagnostics of the assembled connectivity.  The sub-diagonal profile
     and norms are measured on Theta (the Schur form); the top singular
     value on V itself.  The spectral radius is read from the Schur form:
-    the eigenvalues of V are gamma_i e^{+-i theta_i}, whatever T is."""
+    the eigenvalues of V are gamma_i e^{+-i theta_i}, whatever T is.  The
+    growth of V^t is labelled by :func:`iterate_growth_probe` on Theta,
+    whose powers have the same singular values as V's."""
     v, cache = assemble_v(p)
     theta = cache.theta
     n = p.n
@@ -75,4 +79,5 @@ def connectivity_report(p):
         theta_frobenius=float(np.linalg.norm(theta)),
         top_singular_value=float(np.linalg.norm(v, 2)),
         spectral_radius=float(np.max(p.gamma)),
+        growth=iterate_growth_probe(theta).label,
     )

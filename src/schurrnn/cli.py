@@ -166,7 +166,7 @@ def _report_files(params):
     rep = analysis.connectivity_report(params)
     keys = ["n", "mean_gamma", "t_frobenius", "theta_frobenius",
             "nonnormality_ratio", "regime", "top_singular_value",
-            "spectral_radius", "gamma_histogram", "gamma_bin_edges",
+            "spectral_radius", "growth", "gamma_histogram", "gamma_bin_edges",
             "theta_histogram", "subdiag_profile"]
     profile = [[k, repr(float(m))]
                for k, m in enumerate(rep.subdiag_profile, start=1)]

@@ -116,6 +116,19 @@ def delay_line_theta(n, alpha):
     return theta
 
 
+def _checked_theta(theta):
+    """``theta`` as a float64 array, after checking that it is a finite
+    square matrix of order n >= 2."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValueError(f"theta must be square, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta contains non-finite entries")
+    if theta.shape[0] < 2:
+        raise ValueError("n must be >= 2")
+    return theta
+
+
 def _covariance_factor(theta):
     """Upper-triangular R with sum_{k<K} Theta^k (Theta^k)^T = R^T R, the
     number of terms K, and the (K, n) array whose row k is Theta^k e_1,
@@ -166,8 +179,11 @@ def fmc_from_theta(theta, eps=1.0, k_max=0):
     the factor for all columns at once.  C >= eps * I bounds J(k) by
     |Theta^k e_1|^2 / eps, so with ``k_max = 0`` the curve ends at or
     before the first k >= n whose column is below half the cut-off, and
-    that column is the last one solved for."""
-    theta = np.asarray(theta, dtype=np.float64)
+    that column is the last one solved for.  Raises ``ValueError`` for a
+    Theta that is not a finite square matrix of order n >= 2, and
+    :class:`DivergenceError` for a covariance series that does not
+    converge."""
+    theta = _checked_theta(theta)
     n = theta.shape[0]
     r, terms, cols = _covariance_factor(theta)
 
@@ -231,19 +247,6 @@ class Prop1Report:
     bound: np.ndarray
     margin: np.ndarray       # J(k) - bound(k), must be >= -slack
     holds: bool
-
-
-def _checked_theta(theta):
-    """``theta`` as a float64 array, after checking that it is a finite
-    square matrix of order n >= 2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValueError(f"theta must be square, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta contains non-finite entries")
-    if theta.shape[0] < 2:
-        raise ValueError("n must be >= 2")
-    return theta
 
 
 def prop1_bound_check(theta, eps=1.0, slack=1e-9):

@@ -27,11 +27,13 @@ __all__ = [
     "GrowthProbe",
 ]
 
-# iterate_growth_probe: the largest |log sigma| of a constant trace, and the
+# iterate_growth_probe: the largest |log sigma| of a constant trace, the
 # least ratio of log sigma at t_max to log sigma at t_max/2 that makes
-# growth exponential
+# growth exponential, and the margin above 1 past which the spectral radius
+# alone makes it exponential
 CONST_TOL = 1e-6
 GROWTH_RATIO = 1.6
+RHO_TOL = 1e-8
 
 
 def prop2_matrix(n):
@@ -157,20 +159,60 @@ class GrowthProbe:
                             # | "nilpotent" (some power is exactly zero)
     loglog_slope: float
     stopped_early: bool
+    spectral_radius: float  # NaN for a non-finite matrix
+
+
+def _spectral_radius(m):
+    """Largest eigenvalue modulus of the square float array ``m``.
+
+    A lower triangular or quasi-triangular ``m``, the Schur form's shape,
+    has its eigenvalues on its 1x1 and 2x2 diagonal blocks, and they are
+    read from there to rounding.  Any other ``m`` goes through
+    ``np.linalg.eigvals``.  That is exact to rounding on an upper
+    (quasi-)triangular matrix, LAPACK's own Schur form, but elsewhere a
+    defective eigenvalue with a Jordan block of size k errs by about
+    eps^(1/k): read as a dense matrix, a Schur-form Theta at n = 32 with
+    equal rotation angles and gamma = 1 gives rho = 1.02.  NaN for a
+    non-finite ``m``."""
+    if not np.all(np.isfinite(m)):
+        return np.nan
+    # lower quasi-triangular: nothing above the first super-diagonal, and
+    # no two neighbouring entries on it (that would be a 3x3 block)
+    sup = np.diag(m, 1) != 0.0
+    if np.any(np.triu(m, 2)) or np.any(sup[:-1] & sup[1:]):
+        return float(np.max(np.abs(np.linalg.eigvals(m)), initial=0.0))
+    i = np.flatnonzero(sup)
+    single = np.ones(m.shape[0], dtype=bool)
+    single[i] = single[i + 1] = False
+    a, b, c, d = m[i, i], m[i, i + 1], m[i + 1, i], m[i + 1, i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # eigenvalues (a + d)/2 +- sqrt(disc): a real pair, or a complex
+        # one of modulus sqrt(det)
+        disc = ((a - d) / 2) ** 2 + b * c
+        pair = np.where(disc >= 0.0,
+                        np.abs(a + d) / 2 + np.sqrt(np.maximum(disc, 0.0)),
+                        np.sqrt(np.maximum(a * d - b * c, 0.0)))
+    return float(max(np.max(np.abs(np.diag(m)[single]), initial=0.0),
+                     np.max(pair, initial=0.0)))
 
 
 def iterate_growth_probe(m, t_max=100):
     """Track sigma_max(m^t) and classify its growth.
 
-    Constant: log sigma stays within ``CONST_TOL``.  Exponential: the
-    iterates overflow, or log sigma grows by ``GROWTH_RATIO`` or more
-    between t_max/2 and t_max (linear in t).  Otherwise polynomial, with the
-    fitted log-log slope reported (degree cap n-1 for triangular iterates).
     Nilpotent: some power is exactly zero; the trace ends before it.
-    Stops early on overflow or a zero power.
+    Exponential: the iterates overflow, or the spectral radius exceeds
+    1 + ``RHO_TOL``.  Within 100 steps growth at a rate of 1.035 cannot
+    be told from a high-degree polynomial by the iterates, but the
+    spectrum tells them apart.  Otherwise the iterates decide: constant
+    when log sigma stays within ``CONST_TOL``, exponential when log sigma
+    grows by ``GROWTH_RATIO`` or more between t_max/2 and t_max (linear in
+    t), else polynomial, with the fitted log-log slope reported (degree
+    cap n-1 for triangular iterates).  Stops early on overflow or a zero
+    power.
     """
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
+    rho = _spectral_radius(m)
     power = np.eye(n)
     ts, sig = [], []
     stopped = vanished = False
@@ -195,7 +237,7 @@ def iterate_growth_probe(m, t_max=100):
     # an overflow or a zero power may come at t = 1, before any log sigma
     if vanished:
         label = "nilpotent"
-    elif stopped:
+    elif stopped or rho > 1.0 + RHO_TOL:
         label = "exponential"
     elif np.max(np.abs(logs)) <= CONST_TOL:
         label = "constant"
@@ -209,5 +251,5 @@ def iterate_growth_probe(m, t_max=100):
             label = "polynomial"
     return GrowthProbe(
         t=ts, sigma_max=sig, label=label, loglog_slope=slope,
-        stopped_early=stopped,
+        stopped_early=stopped, spectral_radius=rho,
     )

@@ -101,14 +101,13 @@ class RnnModel:
 
 @dataclass
 class SequenceBatch:
-    """Inputs, integer targets (B, T), and a boolean mask of scored steps.
+    """Inputs and integer targets (B, T); every step is scored.
     ``inputs`` is either (B, T) integer token ids, which select columns of
     ``u_in``, or (B, T, d_in) float features.  ``h0`` optionally carries
     hidden state across windows."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    score_mask: np.ndarray
     h0: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ class SequenceBatch:
             raise ValueError("inputs must be (B, T) ids or (B, T, d_in) "
                              "features")
         b, t = self.inputs.shape[:2]
-        if self.targets.shape != (b, t) or self.score_mask.shape != (b, t):
+        if self.targets.shape != (b, t):
             raise ValueError("batch shapes are inconsistent")
 
 
@@ -142,7 +141,6 @@ class ForwardResult:
     final_hidden: np.ndarray    # (B, n)
     v: np.ndarray
     schur_cache: SchurCache
-    n_scored: int = 0
 
 
 def init_model(n, d_in, d_out, cell_kind="schur", scheme="henaff", seed=0):
@@ -173,22 +171,15 @@ def _input_rows(batch, d_in):
     return x.transpose(1, 0, 2).reshape(-1, x.shape[2])
 
 
-def _scored_rows(batch):
-    """Time-major row indices of the scored steps and their targets.
-    Targets at unscored steps are never read."""
-    mask = batch.score_mask.T
-    return np.flatnonzero(mask), batch.targets.T[mask]
-
-
 def forward(model, batch):
     """Forward pass: hidden trace, softmax of the output head, and mean
-    cross entropy (nats) over the scored steps.  Raises ``ValueError`` on
-    a scored target outside [0, d_out) or an input id outside [0, d_in),
-    and :class:`DivergenceError` on a gamma that is not > 0, a failed
+    cross entropy (nats) over all steps.  Raises ``ValueError`` on a
+    target outside [0, d_out) or an input id outside [0, d_in), and
+    :class:`DivergenceError` on a gamma that is not > 0, a failed
     eigendecomposition of B^T B or a non-finite hidden state."""
-    rows, tgt = _scored_rows(batch)
+    tgt = batch.targets.T.ravel()
     if tgt.size and (tgt.min() < 0 or tgt.max() >= model.b_out.size):
-        raise ValueError(f"scored targets must lie in [0, {model.b_out.size})")
+        raise ValueError(f"targets must lie in [0, {model.b_out.size})")
     d_in = model.u_in.shape[1]
     ids = batch.inputs.T if batch.inputs.ndim == 2 else None
     if ids is not None and ids.size and (ids.min() < 0 or ids.max() >= d_in):
@@ -220,10 +211,10 @@ def forward(model, batch):
     z = model.w_out @ h[1:].reshape(-1, n).T
     z += model.b_out[:, None]
     z -= z.max(axis=0)
-    picked = z[tgt, rows]
+    picked = z[tgt, np.arange(tgt.size)]
     np.exp(z, out=z)
     sums = z.sum(axis=0)
-    loss = float(np.sum(np.log(sums[rows]) - picked) / max(rows.size, 1))
+    loss = float(np.sum(np.log(sums) - picked) / tgt.size)
     z /= sums
 
     return ForwardResult(
@@ -233,7 +224,6 @@ def forward(model, batch):
         final_hidden=h[-1].copy(),
         v=vv,
         schur_cache=cache,
-        n_scored=rows.size,
     )
 
 
@@ -248,13 +238,13 @@ def bptt(model, batch, fwd=None):
 
     # Cross-entropy gradient at the logits, in the head's class-major
     # (d_out, T*B) layout.
-    rows, tgt = _scored_rows(batch)
-    scale = 1.0 / max(fwd.n_scored, 1)
-    dl = fwd.probs.T * (batch.score_mask.T.ravel() * scale)
-    dl[tgt, rows] -= scale
+    tgt = batch.targets.T.ravel()
+    scale = 1.0 / tgt.size
+    dl = fwd.probs.T * scale
+    dl[tgt, np.arange(tgt.size)] -= scale
 
     h = fwd.hidden
-    b, t_len = batch.score_mask.shape
+    b, t_len = batch.targets.shape
     n = model.n
     dw_out = dl @ h[1:].reshape(-1, n)
     db_out = dl.sum(axis=1)

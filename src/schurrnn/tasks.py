@@ -68,11 +68,7 @@ def copy_batch(spec, rng=None):
     targets = np.full((b, t_len), BLANK, dtype=np.int64)
     targets[:, delay + COPY_N_DATA:] = data
 
-    return SequenceBatch(
-        inputs=inputs,
-        targets=targets,
-        score_mask=np.ones((b, t_len), dtype=bool),
-    )
+    return SequenceBatch(inputs=inputs, targets=targets)
 
 
 def copy_stream(spec):
@@ -158,11 +154,7 @@ class _CharLmStream:
         ids = self.spec.ids[(np.arange(b) * self.span + starts)[:, None]
                             + np.arange(w + 1)]
         self.offsets = starts + w
-        return SequenceBatch(
-            inputs=ids[:, :-1],
-            targets=ids[:, 1:],
-            score_mask=np.ones((b, w), dtype=bool),
-        )
+        return SequenceBatch(inputs=ids[:, :-1], targets=ids[:, 1:])
 
 
 def char_lm_stream(spec):

@@ -49,14 +49,9 @@ def _rows(a):
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
-def _scored(batch):
-    mask = batch.score_mask.T
-    return np.flatnonzero(mask), batch.targets.T[mask]
-
-
 def forward(model, batch):
     v, cache = schur.assemble_v(model.schur)
-    rows, tgt = _scored(batch)
+    tgt = batch.targets.T.ravel()
     b, t_len, _ = batch.inputs.shape
     n = model.n
     pre = (_rows(batch.inputs) @ model.u_in.T).reshape(t_len, b, n)
@@ -66,24 +61,23 @@ def forward(model, batch):
     z = model.w_out @ h[1:].reshape(-1, n).T
     z += model.b_out[:, None]
     z -= z.max(axis=0)
-    picked = z[tgt, rows]
+    picked = z[tgt, np.arange(tgt.size)]
     np.exp(z, out=z)
     sums = z.sum(axis=0)
-    loss = float(np.sum(np.log(sums[rows]) - picked) / max(rows.size, 1))
+    loss = float(np.sum(np.log(sums) - picked) / tgt.size)
     z /= sums
     return ForwardResult(probs=z.T, hidden=h, loss=loss,
-                         final_hidden=h[-1].copy(), v=v, schur_cache=cache,
-                         n_scored=rows.size)
+                         final_hidden=h[-1].copy(), v=v, schur_cache=cache)
 
 
 def bptt(model, batch, fwd):
-    rows, tgt = _scored(batch)
-    scale = 1.0 / max(fwd.n_scored, 1)
-    dl = fwd.probs.T * (batch.score_mask.T.ravel() * scale)
-    dl[tgt, rows] -= scale
+    tgt = batch.targets.T.ravel()
+    scale = 1.0 / tgt.size
+    dl = fwd.probs.T * scale
+    dl[tgt, np.arange(tgt.size)] -= scale
 
     h = fwd.hidden
-    b, t_len = batch.score_mask.shape
+    b, t_len = batch.targets.shape
     n = model.n
     dw_out = dl @ h[1:].reshape(-1, n)
     db_out = dl.sum(axis=1)

@@ -145,7 +145,6 @@ def test_criterion_5_gradient_correctness():
         batch = rnn.SequenceBatch(
             inputs=rng.normal(size=(b, t_len, d_in)),
             targets=rng.integers(0, d_out, size=(b, t_len)),
-            score_mask=np.ones((b, t_len), dtype=bool),
         )
         grads = rnn.bptt(model, batch)
         p = model.schur

@@ -73,6 +73,19 @@ def test_spectral_radius_from_schur_form():
         np.max(np.abs(np.linalg.eigvals(v))), abs=1e-10)
 
 
+def test_report_labels_growth():
+    p = params_with_delay_line(8, weight=0.5, seed=6)
+    p.t_lower[:] = 0.0
+    assert connectivity_report(p).growth == "constant"
+    p = params_with_delay_line(8, weight=0.5, seed=6)
+    assert connectivity_report(p).growth == "polynomial"
+    # a radius just above 1 is exponential, though 100 iterates of
+    # gamma = 1.01 barely rise
+    p.gamma[2] = 1.01
+    rep = connectivity_report(p)
+    assert rep.spectral_radius == 1.01 and rep.growth == "exponential"
+
+
 def test_histograms_count_parameters():
     p = init_params(16, rng_seed=4)
     rep = connectivity_report(p)
@@ -121,6 +134,7 @@ def test_report_serialization(tmp_path):
     doc = json.loads((out / "connectivity_report.json").read_text())
     assert doc["n"] == 8
     assert doc["spectral_radius"] == rep.spectral_radius
+    assert doc["growth"] == rep.growth == "polynomial"
     assert len(doc["subdiag_profile"]) == 7
     assert len(doc["theta_histogram"]) == 64
 

@@ -410,7 +410,7 @@ def test_prop1_rejects_malformed_input():
         prop1_bound_check(th)
 
 
-@pytest.mark.parametrize("theta,match", [
+MALFORMED_THETA = pytest.mark.parametrize("theta,match", [
     (np.zeros((4, 3)), "square"),
     (np.zeros(4), "square"),
     (np.zeros((2, 2, 2)), "square"),
@@ -418,9 +418,18 @@ def test_prop1_rejects_malformed_input():
     (np.diag([1.0, np.inf]), "non-finite"),
     (np.full((3, 3), np.nan), "non-finite"),
 ], ids=["not_square", "1d", "3d", "n1", "inf", "nan"])
+
+
+@MALFORMED_THETA
 def test_ensemble_from_theta_rejects_malformed_theta(theta, match):
     with pytest.raises(ValueError, match=match):
         ensemble_from_theta(theta, n_samples=5, t_max=3)
+
+
+@MALFORMED_THETA
+def test_fmc_from_theta_rejects_malformed_theta(theta, match):
+    with pytest.raises(ValueError, match=match):
+        fmc_from_theta(theta)
 
 
 def test_prop1_rejects_tiny_nonconstant_subdiagonal():

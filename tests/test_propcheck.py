@@ -9,10 +9,12 @@ from scipy.linalg import expm
 from schurrnn import cli
 from schurrnn.propcheck import (
     _poly_matmul,
+    _spectral_radius,
     iterate_growth_probe,
     prop2_matrix,
     verify_prop2,
 )
+from schurrnn.schur import assemble_theta, init_params, t_lower_mask
 
 
 def test_prop2_matrix_layout():
@@ -176,3 +178,73 @@ def test_growth_probe_nilpotent(m, t_len):
     assert probe.t.tolist() == list(range(1, t_len + 1))
     assert np.all(probe.sigma_max > 0.0)
     assert np.isfinite(probe.loglog_slope)
+
+
+def schur_form_theta(seed, n=128):
+    """A Schur-form Theta like a copy model's after 300 updates: gamma near
+    1 in [0.967, 1.035] with gamma_max = 1.035, and a random T with
+    ||T||_F = 2.66."""
+    p = init_params(n, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    p.gamma = np.clip(1.0 + rng.normal(0.0, 0.015, size=n // 2), 0.967, 1.035)
+    p.gamma[np.argmax(p.gamma)] = 1.035
+    t = np.where(t_lower_mask(n), rng.normal(size=(n, n)), 0.0)
+    p.t_lower = t * (2.66 / np.linalg.norm(t))
+    return assemble_theta(p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_growth_probe_schur_form_super_unit_radius_exponential(seed):
+    # the transient from T raises log sigma at t = 50 and t = 100 alike, so
+    # the iterates alone read five of these six as polynomial
+    probe = iterate_growth_probe(schur_form_theta(seed), t_max=100)
+    assert probe.spectral_radius == pytest.approx(1.035, rel=1e-14)
+    assert probe.label == "exponential"
+
+
+def test_growth_probe_schur_form_repeated_angles_polynomial():
+    # equal angles with T coupling the blocks make the unit-modulus
+    # eigenvalues defective; np.linalg.eigvals reads rho of about 1.02 here
+    p = init_params(32, rng_seed=0)
+    p.theta[:] = 0.5
+    rng = np.random.default_rng(1)
+    p.t_lower = np.where(t_lower_mask(32), rng.normal(size=(32, 32)) * 0.3, 0.0)
+    probe = iterate_growth_probe(assemble_theta(p))
+    assert probe.spectral_radius == pytest.approx(1.0, abs=1e-15)
+    assert probe.label == "polynomial"
+
+
+def test_spectral_radius_read_from_diagonal_blocks():
+    rng = np.random.default_rng(2)
+    lower = np.tril(rng.normal(size=(7, 7)))
+    lower[3, 3] = -4.0
+    # a 2x2 block with a real pair 3 +- 2 and one with a complex pair of
+    # modulus sqrt(2 * 2 + 3 * 1) = sqrt(7)
+    quasi = np.tril(rng.normal(size=(6, 6)))
+    quasi[0:2, 0:2] = [[3.0, 2.0], [2.0, 3.0]]
+    quasi[3:5, 3:5] = [[2.0, -3.0], [1.0, 2.0]]
+    quasi[2, 2] = 0.5
+    quasi[5, 5] = -1.0
+    for m, rho in [(lower, 4.0), (lower.T, 4.0), (quasi, 5.0),
+                   (quasi.T, 5.0), (quasi[3:5, 3:5], np.sqrt(7.0))]:
+        assert _spectral_radius(m) == pytest.approx(rho, rel=1e-15)
+    theta = schur_form_theta(0, n=16)
+    assert _spectral_radius(theta) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvals(theta))), rel=1e-12)
+
+
+def test_spectral_radius_of_a_dense_matrix_and_a_non_finite_one():
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(6, 6))
+    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
+    assert _spectral_radius(1.1 * q) == pytest.approx(1.1, rel=1e-13)
+    # a 3x3 block above the diagonal is not quasi-triangular
+    m = np.tril(rng.normal(size=(5, 5)))
+    m[0, 1] = m[1, 2] = 1.0
+    assert _spectral_radius(m) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvals(m))), rel=1e-13)
+    m[4, 0] = np.nan
+    assert np.isnan(_spectral_radius(m))
+    # the iterates of a NaN matrix are not finite: still exponential
+    probe = iterate_growth_probe(m, t_max=10)
+    assert probe.stopped_early and probe.label == "exponential"

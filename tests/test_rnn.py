@@ -21,7 +21,6 @@ def random_batch(b, t, d_in, d_out, seed=0):
     return SequenceBatch(
         inputs=rng.normal(size=(b, t, d_in)),
         targets=rng.integers(0, d_out, size=(b, t)),
-        score_mask=np.ones((b, t), dtype=bool),
     )
 
 
@@ -77,7 +76,6 @@ def test_forward_isometry_with_orthogonal_v():
     batch = SequenceBatch(
         inputs=np.zeros((4, 10, 3)),
         targets=np.zeros((4, 10), dtype=np.int64),
-        score_mask=np.zeros((4, 10), dtype=bool),
         h0=h0,
     )
     fwd = forward(model, batch)
@@ -118,60 +116,32 @@ def test_loss_uniform_logits():
     assert abs(fwd.loss - np.log(5.0)) < 1e-12
 
 
-def test_loss_masking():
+def test_loss_is_hand_computed_cross_entropy():
+    """The loss is the mean cross entropy over every step, computed here
+    step by step from the hidden trace, and the probabilities are the
+    time-major softmax rows."""
     model = init_model(8, 3, 5, seed=0)
+    model.b_out = np.random.default_rng(5).normal(size=5)
     batch = random_batch(4, 6, 3, 5, seed=4)
-    batch.score_mask[:] = False
-    batch.score_mask[:, -1] = True
     fwd = forward(model, batch)
-    assert fwd.n_scored == 4
-    # manual cross entropy on the last step; its rows are the last four
-    # of the time-major head
-    logits = np.einsum("bn,on->bo", fwd.hidden[-1], model.w_out) + model.b_out
+    logits = np.einsum("tbn,on->tbo", fwd.hidden[1:], model.w_out) + model.b_out
     logp = logits - np.log(np.sum(np.exp(logits), axis=-1, keepdims=True))
-    manual = -np.mean(logp[np.arange(4), batch.targets[:, -1]])
+    t, b = np.meshgrid(np.arange(6), np.arange(4), indexing="ij")
+    manual = -np.mean(logp[t, b, batch.targets.T])
     assert abs(fwd.loss - manual) < 1e-12
-    assert_rel_close(fwd.probs[-4:], np.exp(logp), "probs")
-
-
-def test_head_nothing_scored():
-    model = init_model(8, 3, 5, seed=0)
-    batch = random_batch(4, 6, 3, 5, seed=4)
-    batch.score_mask[:] = False
-    fwd = forward(model, batch)
-    grads = bptt(model, batch, fwd=fwd)
-    assert fwd.n_scored == 0 and fwd.loss == 0.0
-    for name in ("w_out", "b_out", "u_in", "v"):
-        assert np.all(getattr(grads, name) == 0.0), name
-
-
-def test_head_ignores_targets_at_unscored_steps():
-    """Targets at unscored steps are never read, even out of range."""
-    d_out = 5
-    model = init_model(8, 3, d_out, seed=0)
-    valid = random_batch(4, 6, 3, d_out, seed=4)
-    valid.score_mask[:, ::2] = False
-    bad = random_batch(4, 6, 3, d_out, seed=4)
-    bad.score_mask[:] = valid.score_mask
-    bad.targets[:, 0] = -1
-    bad.targets[:, 2] = d_out
-    runs = []
-    for batch in (valid, bad):
-        fwd = forward(model, batch)
-        runs.append((fwd.loss, bptt(model, batch, fwd=fwd)))
-    (loss_v, g_v), (loss_b, g_b) = runs
-    assert loss_v == loss_b
-    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
-        assert np.array_equal(getattr(g_v, name), getattr(g_b, name)), name
+    assert_rel_close(fwd.probs, np.exp(logp).reshape(-1, 5), "probs")
 
 
 @pytest.mark.parametrize("target", [-1, 5])
 def test_head_rejects_scored_target_out_of_range(target):
+    """Every step is scored, so a target out of range at any step is
+    rejected."""
     model = init_model(8, 3, 5, seed=0)
-    batch = random_batch(4, 6, 3, 5, seed=4)
-    batch.targets[2, 3] = target
-    with pytest.raises(ValueError, match="scored targets"):
-        forward(model, batch)
+    for step in range(6):
+        batch = random_batch(4, 6, 3, 5, seed=4)
+        batch.targets[2, step] = target
+        with pytest.raises(ValueError, match=r"targets must lie in \[0, 5\)"):
+            forward(model, batch)
 
 
 def test_head_large_output_bias_stays_finite():
@@ -191,7 +161,6 @@ def test_bptt_leaves_forward_result_reusable():
     """``bptt`` does not consume the cached probabilities in place."""
     model = init_model(8, 3, 5, seed=0)
     batch = random_batch(4, 6, 3, 5, seed=4)
-    batch.score_mask[1, :3] = False
     fwd = forward(model, batch)
     first, second = bptt(model, batch, fwd=fwd), bptt(model, batch, fwd=fwd)
     for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
@@ -350,9 +319,9 @@ def assert_rel_close(got, ref, label, tol=1e-13):
 ])
 def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     """The GEMM input projection, output head and head gradients agree
-    with the einsum contractions they replaced.  ``carry`` adds an h0 and
-    a partial score mask; ``zero_bias`` keeps the initial hidden bias, at
-    which modReLU is the identity."""
+    with the einsum contractions they replaced.  ``carry`` adds an h0;
+    ``zero_bias`` keeps the initial hidden bias, at which modReLU is the
+    identity."""
     model = init_model(n, d_in, d_out, scheme="cayley", seed=3)
     rng = np.random.default_rng(4)
     if not zero_bias:
@@ -361,7 +330,6 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     batch = random_batch(b, t_len, d_in, d_out, seed=5)
     if carry:
         batch.h0 = rng.normal(size=(b, n))
-        batch.score_mask = rng.random((b, t_len)) < 0.6
     fwd = forward(model, batch)
     grads = bptt(model, batch, fwd=fwd)
 
@@ -369,7 +337,6 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     pre = np.einsum("btd,nd->tbn", batch.inputs, model.u_in)
     h = rnn_forward(fwd.v, trace(pre, h0), model.b_hidden)
     logits = np.einsum("tbn,on->bto", h[1:], model.w_out) + model.b_out
-    mask = batch.score_mask
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     assert_rel_close(fwd.hidden, h, "hidden")
@@ -377,7 +344,7 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
                      "probs")
 
     onehot = np.eye(d_out)[batch.targets]
-    dlogits = (p - onehot) * mask[..., None] / mask.sum()
+    dlogits = (p - onehot) / (b * t_len)
     dw_out = np.einsum("bto,tbn->on", dlogits, h[1:])
     dpre = np.einsum("bto,on->tbn", dlogits, model.w_out)
     dv, dbias = rnn_backward(fwd.v, h, dpre)
@@ -396,14 +363,13 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
 
 def carried_batch(b, t_len, n, d_in, d_out):
     """A model whose hidden bias cuts some units, and a batch with a
-    carried h0 and a partial score mask."""
+    carried h0."""
     model = init_model(n, d_in, d_out, scheme="cayley", seed=3)
     rng = np.random.default_rng(4)
     model.b_hidden = rng.normal(size=n) * 0.1
     model.b_out = rng.normal(size=d_out)
     batch = random_batch(b, t_len, d_in, d_out, seed=5)
     batch.h0 = rng.normal(size=(b, n))
-    batch.score_mask = rng.random((b, t_len)) < 0.6
     return model, batch
 
 
@@ -437,8 +403,7 @@ def test_in_place_recurrence_matches_allocating_oracle_bitwise(
 
 
 def with_inputs(batch, inputs):
-    return SequenceBatch(inputs=inputs, targets=batch.targets,
-                         score_mask=batch.score_mask, h0=batch.h0)
+    return SequenceBatch(inputs=inputs, targets=batch.targets, h0=batch.h0)
 
 
 @pytest.mark.parametrize("b,t_len,n,d_in,d_out", TRAINING_SHAPES)
@@ -474,7 +439,6 @@ def test_token_ids_out_of_range_raise(bad):
     batch = SequenceBatch(
         inputs=ids,
         targets=np.zeros((2, 5), dtype=np.int64),
-        score_mask=np.ones((2, 5), dtype=bool),
     )
     with pytest.raises(ValueError, match="input ids"):
         forward(model, batch)
@@ -492,7 +456,6 @@ def test_batch_rejects_inputs_that_are_not_ids_or_features(inputs, message):
         SequenceBatch(
             inputs=inputs,
             targets=np.zeros((2, 5), dtype=np.int64),
-            score_mask=np.ones((2, 5), dtype=bool),
         )
 
 
@@ -523,7 +486,6 @@ def test_non_finite_hidden_raises():
     batch = SequenceBatch(
         inputs=np.ones((1, 60, 2)),
         targets=np.zeros((1, 60), dtype=np.int64),
-        score_mask=np.ones((1, 60), dtype=bool),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):

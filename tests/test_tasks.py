@@ -36,7 +36,6 @@ def test_copy_layout():
     assert np.array_equal(b.targets[:, 7 + 10 :], ids[:, :10])
     # marker never a target; output classes are 0..8
     assert np.all(b.targets < COPY_D_OUT)
-    assert np.all(b.score_mask)
 
 
 def test_copy_determinism_and_stream_freshness():
