@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schur import DivergenceError
+from . import DivergenceError
 
 __all__ = [
     "FmcConfig",

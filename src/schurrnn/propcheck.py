@@ -29,8 +29,8 @@ __all__ = [
 
 # iterate_growth_probe: the largest |log sigma| of a constant trace, the
 # least ratio of log sigma at t_max to log sigma at t_max/2 that makes
-# growth exponential, and the margin above 1 past which the spectral radius
-# alone makes it exponential
+# growth exponential, and the margin on either side of 1 past which the
+# spectral radius alone makes it exponential (above) or decaying (below)
 CONST_TOL = 1e-6
 GROWTH_RATIO = 1.6
 RHO_TOL = 1e-8
@@ -156,6 +156,7 @@ class GrowthProbe:
     t: np.ndarray
     sigma_max: np.ndarray
     label: str              # "constant" | "polynomial" | "exponential"
+                            # | "decaying" (spectral radius below 1)
                             # | "nilpotent" (some power is exactly zero)
     loglog_slope: float
     stopped_early: bool
@@ -203,7 +204,9 @@ def iterate_growth_probe(m, t_max=100):
     Exponential: the iterates overflow, or the spectral radius exceeds
     1 + ``RHO_TOL``.  Within 100 steps growth at a rate of 1.035 cannot
     be told from a high-degree polynomial by the iterates, but the
-    spectrum tells them apart.  Otherwise the iterates decide: constant
+    spectrum tells them apart.  Decaying: the spectral radius is below
+    1 - ``RHO_TOL``, so the powers tend to zero, whatever transient
+    growth comes first.  Otherwise the iterates decide: constant
     when log sigma stays within ``CONST_TOL``, exponential when log sigma
     grows by ``GROWTH_RATIO`` or more between t_max/2 and t_max (linear in
     t), else polynomial, with the fitted log-log slope reported (degree
@@ -239,6 +242,8 @@ def iterate_growth_probe(m, t_max=100):
         label = "nilpotent"
     elif stopped or rho > 1.0 + RHO_TOL:
         label = "exponential"
+    elif rho < 1.0 - RHO_TOL:
+        label = "decaying"
     elif np.max(np.abs(logs)) <= CONST_TOL:
         label = "constant"
     else:

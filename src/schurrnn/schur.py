@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DivergenceError
+
 __all__ = [
     "DivergenceError",
     "SchurCache",
@@ -27,18 +29,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-
-class DivergenceError(FloatingPointError):
-    """A numerical failure: a rotation modulus gamma that is not > 0, an
-    eigendecomposition of B^T B that fails, a non-finite hidden state or
-    loss, a covariance series still growing at its term cap, or transient
-    ensemble statistics that overflow.
-    ``records`` holds the training log records written before it."""
-
-    def __init__(self, message, records=()):
-        super().__init__(message)
-        self.records = list(records)
 
 
 def t_lower_mask(n):

@@ -84,6 +84,10 @@ def test_report_labels_growth():
     p.gamma[2] = 1.01
     rep = connectivity_report(p)
     assert rep.spectral_radius == 1.01 and rep.growth == "exponential"
+    # every gamma below 1, T unchanged
+    p.gamma[:] = 0.99
+    rep = connectivity_report(p)
+    assert rep.spectral_radius == 0.99 and rep.growth == "decaying"
 
 
 def test_histograms_count_parameters():

@@ -7,6 +7,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
 from schurrnn import cli
+from schurrnn.memory import FmcConfig, build_theta_family
 from schurrnn.propcheck import (
     _poly_matmul,
     _spectral_radius,
@@ -212,6 +213,38 @@ def test_growth_probe_schur_form_repeated_angles_polynomial():
     probe = iterate_growth_probe(assemble_theta(p))
     assert probe.spectral_radius == pytest.approx(1.0, abs=1e-15)
     assert probe.label == "polynomial"
+
+
+def test_growth_probe_contraction_decaying():
+    # the iterates alone read log sigma falling as polynomial
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(8, 8))
+    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
+    probe = iterate_growth_probe(0.9 * q)
+    assert probe.spectral_radius == pytest.approx(0.9, rel=1e-13)
+    assert probe.label == "decaying"
+
+
+def test_growth_probe_schur_form_sub_unit_radius_decaying():
+    n = 64
+    p = init_params(n, rng_seed=4)
+    rng = np.random.default_rng(4)
+    p.gamma = rng.uniform(0.9, 0.99, size=n // 2)
+    t = np.where(t_lower_mask(n), rng.normal(size=(n, n)), 0.0)
+    p.t_lower = t * (2.66 / np.linalg.norm(t))
+    probe = iterate_growth_probe(assemble_theta(p))
+    assert probe.spectral_radius == pytest.approx(np.max(p.gamma), rel=1e-14)
+    assert probe.label == "decaying"
+
+
+@pytest.mark.parametrize("d,label", [(0.2, "decaying"), (0.0, "nilpotent")])
+def test_growth_probe_theta_family(d, label):
+    # at d = 0.2 sigma_max still grows through t = 100, to 6e10, and the
+    # iterates alone read it as exponential; rho = 0.2 says it decays
+    theta = build_theta_family(FmcConfig(n=100, d=d, alpha=1.05, beta=0.005))
+    probe = iterate_growth_probe(theta)
+    assert probe.spectral_radius == pytest.approx(d, abs=1e-15)
+    assert probe.label == label
 
 
 def test_spectral_radius_read_from_diagonal_blocks():

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +18,24 @@ def test_all_names_exist(name):
     mod = importlib.import_module(f"schurrnn.{name}")
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
     exec(f"from schurrnn.{name} import *", {})
+
+
+@pytest.mark.parametrize("statement,loaded", [
+    ("import schurrnn", ["schurrnn"]),
+    ("import schurrnn.memory", ["schurrnn", "schurrnn.memory"]),
+    ("import schurrnn.optim, schurrnn.tasks",
+     ["schurrnn", "schurrnn.optim", "schurrnn.rnn", "schurrnn.schur",
+      "schurrnn.tasks"]),
+], ids=["root", "memory", "training"])
+def test_import_loads_only_what_it_names(statement, loaded):
+    """The package root imports no module, so a process that runs one
+    part of the package compiles no other."""
+    src = os.path.dirname(os.path.dirname(schurrnn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"{statement}; import sys; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'schurrnn'))"],
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+        capture_output=True, text=True).stdout
+    assert out.strip() == str(loaded)
