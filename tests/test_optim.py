@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurrnn import tasks
+from schurrnn import rnn, tasks
 from schurrnn.optim import (
     DivergenceError,
     TrainConfig,
@@ -167,3 +167,54 @@ def test_training_determinism():
     l2, b2 = run()
     assert l1 == l2
     assert np.array_equal(b1, b2)
+
+
+def reuse_run(monkeypatch, task, lend):
+    """Train 4 updates with ``rnn.forward`` spied on; ``lend=False`` drops
+    the ``out`` that ``train_loop`` passes.  Returns each update's
+    (hidden, probs), the records and the trained model."""
+    real = rnn.forward
+    seen = []
+
+    def spy(model, batch, out=None):
+        fwd = real(model, batch, out=out if lend else None)
+        assert batch.h0 is None or not np.shares_memory(batch.h0, fwd.hidden)
+        seen.append((fwd.hidden, fwd.probs))
+        return fwd
+
+    if task == "copy":
+        spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=2)
+        stream = tasks.copy_stream(spec)
+        model = init_model(16, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=2)
+    else:
+        spec = tasks.CharLmSpec("src/schurrnn/data/corpus.txt", window=20,
+                                batch_size=3)
+        stream = tasks.char_lm_stream(spec)
+        model = init_model(16, spec.vocab_size, spec.vocab_size, seed=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(rnn, "forward", spy)
+        res = train_loop(model, stream,
+                         TrainConfig(max_updates=4, log_every=1))
+    return seen, res.records, model
+
+
+@pytest.mark.parametrize("task", ["copy", "charlm"])
+def test_train_loop_reuses_forward_buffers(monkeypatch, task):
+    """Every update after the first writes its hidden trace and head
+    buffer into the first update's memory, and the training it gives is
+    bit-identical to fresh buffers at every update."""
+    seen, records, model = reuse_run(monkeypatch, task, lend=True)
+    fresh, ref_records, ref_model = reuse_run(monkeypatch, task, lend=False)
+
+    assert len(seen) == 4
+    for hidden, probs in seen[1:]:
+        assert np.shares_memory(hidden, seen[0][0])
+        assert np.shares_memory(probs, seen[0][1])
+    assert not np.shares_memory(fresh[1][0], fresh[0][0])
+    assert records == ref_records
+    for name in ("u_in", "b_hidden", "w_out", "b_out"):
+        assert np.array_equal(getattr(model, name),
+                              getattr(ref_model, name)), name
+    for name in ("gamma", "theta", "t_lower", "b_skew"):
+        assert np.array_equal(getattr(model.schur, name),
+                              getattr(ref_model.schur, name)), name

@@ -383,23 +383,80 @@ TRAINING_SHAPES = [
 def test_in_place_recurrence_matches_allocating_oracle_bitwise(
         b, t_len, n, d_in, d_out):
     """Working in one trace buffer per direction changes no bit of the
-    forward pass or of any gradient against the allocating formulation."""
+    forward pass or of any gradient against the allocating formulation,
+    whether the buffers are fresh or lent by the result of another batch
+    (other inputs, targets and h0)."""
     model, batch = carried_batch(b, t_len, n, d_in, d_out)
-    fwd = forward(model, batch)
-    grads = bptt(model, batch, fwd=fwd)
     ref_fwd = rnn_alloc_oracle.forward(model, batch)
     ref = rnn_alloc_oracle.bptt(model, batch, ref_fwd)
-
     assert np.any(ref_fwd.hidden[1:] == 0.0)
-    assert np.array_equal(fwd.hidden, ref_fwd.hidden)
-    assert np.array_equal(fwd.final_hidden, ref_fwd.final_hidden)
-    assert np.array_equal(fwd.probs, ref_fwd.probs)
-    assert fwd.loss == ref_fwd.loss
-    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
-        assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
-    for name in ("gamma", "theta", "t_lower", "b_skew"):
-        assert np.array_equal(getattr(grads.schur, name),
-                              getattr(ref.schur, name)), name
+
+    other = random_batch(b, t_len, d_in, d_out, seed=8)
+    other.h0 = np.random.default_rng(9).normal(size=(b, n))
+    lender = forward(model, other)
+    assert not np.array_equal(lender.hidden, ref_fwd.hidden)
+
+    for out in (None, lender):
+        fwd = forward(model, batch, out=out)
+        grads = bptt(model, batch, fwd=fwd)
+        assert np.array_equal(fwd.hidden, ref_fwd.hidden)
+        assert np.array_equal(fwd.final_hidden, ref_fwd.final_hidden)
+        assert np.array_equal(fwd.probs, ref_fwd.probs)
+        assert fwd.loss == ref_fwd.loss
+        for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+            assert np.array_equal(getattr(grads, name),
+                                  getattr(ref, name)), name
+        for name in ("gamma", "theta", "t_lower", "b_skew"):
+            assert np.array_equal(getattr(grads.schur, name),
+                                  getattr(ref.schur, name)), name
+    assert np.shares_memory(fwd.hidden, lender.hidden)
+    assert np.shares_memory(fwd.probs, lender.probs)
+    assert not np.shares_memory(fwd.final_hidden, fwd.hidden)
+
+
+def bits(fwd):
+    return fwd.hidden.tobytes(), fwd.probs.tobytes()
+
+
+@pytest.mark.parametrize("changed", ["t_len", "b", "n", "d_out"])
+def test_forward_out_of_other_geometry_gets_fresh_buffers(changed):
+    """A lent result whose trace or head buffer has another shape is left
+    bit-unchanged, and the call allocates as if none were lent."""
+    dims = dict(b=3, t_len=7, n=8, d_in=4, d_out=5)
+    model, batch = carried_batch(**dims)
+    dims[changed] += 2  # n stays even
+    lender_model, lender_batch = carried_batch(**dims)
+    lender = forward(lender_model, lender_batch)
+    before = bits(lender)
+
+    fwd = forward(model, batch, out=lender)
+    assert bits(lender) == before
+    assert not np.shares_memory(fwd.hidden, lender.hidden)
+    assert not np.shares_memory(fwd.probs, lender.probs)
+    assert bits(fwd) == bits(forward(model, batch))
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("targets", 5, "targets"),
+    ("targets", -1, "targets"),
+    ("inputs", 4, "input ids"),
+])
+def test_forward_value_error_leaves_out_unchanged(field, bad, message):
+    """The target and input-id checks run before ``forward`` writes into
+    a lent result of matching geometry."""
+    model = init_model(8, 4, 5, seed=0)
+    rng = np.random.default_rng(2)
+    good = SequenceBatch(inputs=rng.integers(0, 4, size=(3, 7)),
+                         targets=rng.integers(0, 5, size=(3, 7)),
+                         h0=rng.normal(size=(3, 8)))
+    lender = forward(model, good)
+    before = bits(lender)
+
+    arrays = dict(inputs=good.inputs.copy(), targets=good.targets.copy())
+    arrays[field][1, 4] = bad
+    with pytest.raises(ValueError, match=message):
+        forward(model, SequenceBatch(**arrays), out=lender)
+    assert bits(lender) == before
 
 
 def with_inputs(batch, inputs):
