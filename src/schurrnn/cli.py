@@ -6,7 +6,8 @@ rejected); outputs are CSV curves and JSON reports meant for external
 plotting.  This module owns their formats.  Each command checks its config,
 computes every result in memory, then writes its files with one call to
 :func:`_write`; the checkpoint, a format with its own reader, is written
-by :func:`schurrnn.schur.save_checkpoint`.
+by :func:`schurrnn.schur.save_checkpoint`.  Each command imports the
+library modules it runs, and no others, when it is called.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (divergence or series non-convergence).
@@ -25,9 +26,7 @@ import typing
 
 import numpy as np
 
-from . import analysis, memory, propcheck, schur, tasks
-from .optim import DivergenceError, LogRecord, TrainConfig, train_loop
-from .rnn import init_model
+from . import DivergenceError
 
 __all__ = ["main", "ConfigError"]
 
@@ -163,6 +162,8 @@ def _write(out_dir, files):
 def _report_files(params):
     """The connectivity report of ``params`` and its sub-diagonal profile,
     as (k, mean_abs) rows for plotting."""
+    from . import analysis
+
     rep = analysis.connectivity_report(params)
     keys = ["n", "mean_gamma", "t_frobenius", "theta_frobenius",
             "nonnormality_ratio", "regime", "top_singular_value",
@@ -185,6 +186,8 @@ _TASK_KEYS = {"copy": {"kind": str, "delay": int},
 
 
 def _build_task(doc, batch_size, seed):
+    from . import tasks
+
     kind = _checked(doc, {"kind": str, "delay": int, "corpus": str,
                           "window": int}, {"kind"}, "task")["kind"]
     if kind not in _TASK_KEYS:
@@ -212,11 +215,17 @@ def _build_task(doc, batch_size, seed):
 
 
 def _log_text(records):
+    from .optim import LogRecord
+
     return _csv_text([f.name for f in dataclasses.fields(LogRecord)],
                      map(dataclasses.astuple, records))
 
 
 def cmd_train(config_path, out_dir, seed_override):
+    from . import schur
+    from .optim import TrainConfig, train_loop
+    from .rnn import init_model
+
     doc = _checked(_load_json(config_path),
                    {"task": dict, "model": dict, "train": dict, "seed": int},
                    {"task", "model"}, "config")
@@ -256,6 +265,8 @@ def cmd_train(config_path, out_dir, seed_override):
 # --- fmc ----------------------------------------------------------------------
 
 def cmd_fmc(config_path, out_dir):
+    from . import memory
+
     doc = _checked(_load_json(config_path), {"sweep": list}, {"sweep"},
                    "config")
     configs = [_from_doc(memory.FmcConfig, row, f"sweep[{i}]")
@@ -288,6 +299,8 @@ def cmd_fmc(config_path, out_dir):
 # --- transients ---------------------------------------------------------------
 
 def cmd_transients(config_path, out_dir, seed_override):
+    from . import memory
+
     doc = _checked(_load_json(config_path),
                    {"configs": list, "n_samples": int,
                     "t_max": typing.Optional[int], "seed": int},
@@ -320,6 +333,8 @@ def cmd_transients(config_path, out_dir, seed_override):
 # --- props --------------------------------------------------------------------
 
 def cmd_props(config_path, out_dir):
+    from . import memory, propcheck
+
     doc = _checked(_load_json(config_path), {"prop2": list, "prop1": list},
                    set(), "config")
     prop2 = [_checked(row, {"n": int, "t_max": int}, {"n", "t_max"},
@@ -370,6 +385,8 @@ def cmd_props(config_path, out_dir):
 # --- report -------------------------------------------------------------------
 
 def cmd_report(config_path, out_dir):
+    from . import schur
+
     try:
         params, _, _ = schur.load_checkpoint(config_path)
     except (OSError, KeyError, ValueError, RecursionError) as exc:

@@ -14,9 +14,13 @@ steps earlier under i.i.d. Gaussian noise of variance eps:
 C is never formed or inverted explicitly.  Its triangular factor comes
 from the square-root form of Smith's doubling for the Stein equation
 C = Theta C Theta^T + eps I (Smith 1968; Hammarling 1982): one 2n x n QR
-per doubling of the number of summed terms.  Working with the factor keeps
-the solves usable even when C itself is catastrophically ill-conditioned
-(condition numbers reach 1e23 for d = 0.2 with super-unit sub-diagonals).
+per doubling of the number of summed terms.  The QR's stack interleaves
+the rows of the two triangles it holds, so that for a lower
+(quasi-)triangular Theta, the family and the Schur form among them, it is
+a staircase whose zeros LAPACK's Householder QR skips.  Working with the
+factor keeps the solves usable even when C itself is catastrophically
+ill-conditioned (condition numbers reach 1e23 for d = 0.2 with super-unit
+sub-diagonals).
 """
 
 import contextlib
@@ -142,20 +146,33 @@ def _covariance_factor(theta):
     K >= n (non-normal transients can grow before they decay) and the tail
     term ||A||_F^2 is below SERIES_TOL.
 
+    The stack holds R in its even rows and R A in its odd rows.  Any row
+    order gives the same R^T R: in exact arithmetic, permuting the rows
+    changes Q, and R only in the signs of its rows.  This order pays when
+    Theta is lower (quasi-)triangular: R A is then upper
+    (quasi-)triangular like R, so column j of the stack is nonzero only
+    in about its first 2j + 2 rows, and LAPACK's Householder QR trims each
+    reflector to the rows above the column's trailing zeros, about j + 2
+    of them in place of n + 1.  A dense Theta costs what the stacked
+    halves [R; R A] cost.  One case pays more: for a scaled shift
+    (d = beta = 0), R is diagonal, and the halves left the reflectors of
+    the zero leading columns of R A empty, where this order has R's rows
+    to move.
+
     Raises :class:`DivergenceError` if the tail is still growing when K
     passes TERMS_PER_UNIT * n, or overflows.
     """
     n = theta.shape[0]
     cap = TERMS_PER_UNIT * n
-    stack = np.empty((2 * n, n))   # [R; R A], refilled at each doubling
+    stack = np.empty((2 * n, n))   # R, R A interleaved; refilled each doubling
     r = np.eye(n)
     cols = np.eye(1, n)
     a = theta.T
     terms = 1
     prev = np.inf
     while True:
-        stack[:n] = r
-        np.matmul(r, a, out=stack[n:])
+        stack[0::2] = r
+        np.matmul(r, a, out=stack[1::2])
         r = np.linalg.qr(stack, mode="r")
         cols = np.vstack([cols, cols @ a])
         a = a @ a
@@ -180,10 +197,15 @@ def fmc_from_theta(theta, eps=1.0, k_max=0):
     |Theta^k e_1|^2 / eps, so with ``k_max = 0`` the curve ends at or
     before the first k >= n whose column is below half the cut-off, and
     that column is the last one solved for.  Raises ``ValueError`` for a
-    Theta that is not a finite square matrix of order n >= 2, and
-    :class:`DivergenceError` for a covariance series that does not
-    converge."""
+    Theta that is not a finite square matrix of order n >= 2, an ``eps``
+    that is not a finite number > 0 or a ``k_max`` that is not an integer
+    >= 0, and :class:`DivergenceError` for a covariance series that does
+    not converge."""
     theta = _checked_theta(theta)
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be a finite number > 0, not {eps!r}")
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, not {k_max!r}")
     n = theta.shape[0]
     r, terms, cols = _covariance_factor(theta)
 

@@ -169,6 +169,46 @@ def test_fmc_matches_dense_oracle():
         assert np.all(res.j_curve[n:-1] >= 1e-14)
 
 
+def factor_thetas(n=24):
+    """Matrices of every structure the factor meets, by name."""
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(n, n))
+    return {
+        "family": build_theta_family(
+            FmcConfig(n=n, d=0.2, alpha=1.05, beta=0.005)),
+        # its powers have zero leading columns
+        "strictly_lower": np.tril(rng.normal(size=(n, n)) * 0.4, -1),
+        # entries above the diagonal in each rotation block
+        "schur_form": schur_form_theta(n, (0.8, 0.95), 1.0, 7),
+        "dense": dense * (0.9 / np.max(np.abs(np.linalg.eigvals(dense)))),
+        "upper_shift": np.eye(n, k=1),
+    }
+
+
+@pytest.mark.parametrize("name", ["family", "strictly_lower", "schur_form",
+                                  "dense", "upper_shift"])
+def test_covariance_factor_matches_dense_sum(name):
+    # The stack's row order leaves R^T R unchanged for any Theta: it is the
+    # dense sum of the K terms the factor reports, and R is triangular.
+    theta = factor_thetas()[name]
+    r, terms, _ = memory._covariance_factor(theta)
+    c = np.zeros_like(theta)
+    m = np.eye(len(theta))
+    for _ in range(terms):
+        c += m @ m.T
+        m = theta @ m
+    assert np.linalg.norm(r.T @ r - c) <= 1e-13 * np.linalg.norm(c)
+    assert np.all(np.tril(r, -1) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["schur_form", "dense"])
+def test_fmc_matches_dense_oracle_off_the_lower_triangle(name):
+    theta = factor_thetas()[name]
+    res = fmc_from_theta(theta)
+    oracle = fmc_oracle(theta, k_max=len(res.j_curve) - 1)
+    np.testing.assert_allclose(res.j_curve, oracle, rtol=1e-8, atol=0)
+
+
 @pytest.mark.parametrize("diagonal", [False, True],
                          ids=["nilpotent", "diagonal_inside_disc"])
 def test_fmc_columns_past_the_factors_terms(diagonal):
@@ -430,6 +470,20 @@ def test_ensemble_from_theta_rejects_malformed_theta(theta, match):
 def test_fmc_from_theta_rejects_malformed_theta(theta, match):
     with pytest.raises(ValueError, match=match):
         fmc_from_theta(theta)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"eps": -1.0}, "eps"),
+    ({"eps": np.nan}, "eps"),
+    ({"eps": 0.0}, "eps"),
+    ({"eps": np.inf}, "eps"),
+    ({"k_max": -3}, "k_max"),
+    ({"k_max": 2.5}, "k_max"),
+], ids=["eps_negative", "eps_nan", "eps_zero", "eps_inf", "k_max_negative",
+        "k_max_float"])
+def test_fmc_from_theta_rejects_bad_eps_and_k_max(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        fmc_from_theta(delay_line_theta(6, 0.9), **kwargs)
 
 
 def test_prop1_rejects_tiny_nonconstant_subdiagonal():

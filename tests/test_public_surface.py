@@ -26,7 +26,8 @@ def test_all_names_exist(name):
     ("import schurrnn.optim, schurrnn.tasks",
      ["schurrnn", "schurrnn.optim", "schurrnn.rnn", "schurrnn.schur",
       "schurrnn.tasks"]),
-], ids=["root", "memory", "training"])
+    ("import schurrnn.cli", ["schurrnn", "schurrnn.cli"]),
+], ids=["root", "memory", "training", "cli"])
 def test_import_loads_only_what_it_names(statement, loaded):
     """The package root imports no module, so a process that runs one
     part of the package compiles no other."""
