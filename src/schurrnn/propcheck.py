@@ -1,5 +1,5 @@
 """Exact verification that iterates of unit-diagonal triangular matrices
-grow polynomially, plus an empirical growth classifier for float matrices.
+grow polynomially, plus a growth label for float matrices.
 
 The exact side works on the matrix with ones on the diagonal and the
 symbol x strictly above it.  Entry (i, j) of its t-th power is a polynomial
@@ -27,12 +27,10 @@ __all__ = [
     "GrowthProbe",
 ]
 
-# iterate_growth_probe: the largest |log sigma| of a constant trace, the
-# least ratio of log sigma at t_max to log sigma at t_max/2 that makes
-# growth exponential, and the margin on either side of 1 past which the
-# spectral radius alone makes it exponential (above) or decaying (below)
+# iterate_growth_probe: the largest |log sigma| of a constant trace, and
+# the margin on either side of 1 past which the spectral radius alone makes
+# growth exponential (above) or decaying (below)
 CONST_TOL = 1e-6
-GROWTH_RATIO = 1.6
 RHO_TOL = 1e-8
 
 
@@ -153,13 +151,9 @@ def verify_prop2(n, t_max):
 
 @dataclass
 class GrowthProbe:
-    t: np.ndarray
-    sigma_max: np.ndarray
-    label: str              # "constant" | "polynomial" | "exponential"
-                            # | "decaying" (spectral radius below 1)
-                            # | "nilpotent" (some power is exactly zero)
-    loglog_slope: float
-    stopped_early: bool
+    label: str              # "exponential" | "nilpotent" (a power overflows
+                            # or is zero), else "exponential" | "decaying"
+                            # (from rho), else "constant" | "polynomial"
     spectral_radius: float  # NaN for a non-finite matrix
 
 
@@ -198,63 +192,37 @@ def _spectral_radius(m):
 
 
 def iterate_growth_probe(m, t_max=100):
-    """Track sigma_max(m^t) and classify its growth.
+    """Label the growth of the powers m^t, t = 1 ... ``t_max``.
 
-    Nilpotent: some power is exactly zero; the trace ends before it.
-    Exponential: the iterates overflow, or the spectral radius exceeds
-    1 + ``RHO_TOL``.  Within 100 steps growth at a rate of 1.035 cannot
-    be told from a high-degree polynomial by the iterates, but the
-    spectrum tells them apart.  Decaying: the spectral radius is below
-    1 - ``RHO_TOL``, so the powers tend to zero, whatever transient
-    growth comes first.  Otherwise the iterates decide: constant
-    when log sigma stays within ``CONST_TOL``, exponential when log sigma
-    grows by ``GROWTH_RATIO`` or more between t_max/2 and t_max (linear in
-    t), else polynomial, with the fitted log-log slope reported (degree
-    cap n-1 for triangular iterates).  Stops early on overflow or a zero
-    power.
-    """
+    Exact events come first, at the first t either happens: a power that
+    overflows or is not finite makes the label "exponential", and one that
+    is exactly zero makes it "nilpotent".  Then the spectral radius rho
+    decides: "exponential" above 1 + ``RHO_TOL`` and "decaying" below
+    1 - ``RHO_TOL``, whatever transient growth comes first.  Within 100
+    steps growth at a rate of 1.035 cannot be told from a high-degree
+    polynomial by the iterates, but the spectrum tells them apart.  With
+    rho within ``RHO_TOL`` of 1 nothing grows exponentially, so the trace
+    is "constant" when every sigma_max(m^t) has |log sigma| <= ``CONST_TOL``
+    and "polynomial" otherwise.  sigma_max is taken only while it can
+    still make the trace constant."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
     rho = _spectral_radius(m)
-    power = np.eye(n)
-    ts, sig = [], []
-    stopped = vanished = False
-    for t in range(1, t_max + 1):
+    constant = abs(rho - 1.0) <= RHO_TOL
+    power = np.eye(m.shape[0])
+    for _ in range(t_max):
         power = power @ m
         if not np.all(np.isfinite(power)) or np.abs(power).max() > 1e150:
-            stopped = True
-            break
+            return GrowthProbe("exponential", rho)
         if not power.any():
-            stopped = vanished = True
-            break
-        ts.append(t)
-        sig.append(float(np.linalg.norm(power, 2)))
-    ts = np.array(ts)
-    sig = np.array(sig)
-    logs = np.log(sig)
-
-    half = len(ts) // 2
-    tail = slice(half, None)
-    slope = float(np.polyfit(np.log(ts[tail]), logs[tail], 1)[0]) if len(ts) > 3 else 0.0
-
-    # an overflow or a zero power may come at t = 1, before any log sigma
-    if vanished:
-        label = "nilpotent"
-    elif stopped or rho > 1.0 + RHO_TOL:
+            return GrowthProbe("nilpotent", rho)
+        constant = (constant
+                    and abs(np.log(np.linalg.norm(power, 2))) <= CONST_TOL)
+    if rho > 1.0 + RHO_TOL:
         label = "exponential"
     elif rho < 1.0 - RHO_TOL:
         label = "decaying"
-    elif np.max(np.abs(logs)) <= CONST_TOL:
-        label = "constant"
     else:
-        l_half = logs[half - 1] if half >= 1 else logs[0]
-        l_end = logs[-1]
-        if (abs(l_half) > 1e-12 and l_end / l_half >= GROWTH_RATIO
-                and l_end > 0):
-            label = "exponential"
-        else:
-            label = "polynomial"
-    return GrowthProbe(
-        t=ts, sigma_max=sig, label=label, loglog_slope=slope,
-        stopped_early=stopped, spectral_radius=rho,
-    )
+        label = "constant" if constant else "polynomial"
+    return GrowthProbe(label, rho)

@@ -90,6 +90,18 @@ def test_report_labels_growth():
     assert rep.spectral_radius == 0.99 and rep.growth == "decaying"
 
 
+def test_report_unit_gamma_with_t_is_polynomial():
+    # gamma = 1 with a random T: sigma_max(Theta^t) goes only 1.63 -> 2.19
+    # from t = 50 to t = 100, far from any exponential rate
+    n = 128
+    p = init_params(n, rng_seed=2)
+    rng = np.random.default_rng(2)
+    t = np.where(t_lower_mask(n), rng.normal(size=(n, n)), 0.0)
+    p.t_lower = t * (0.5 / np.linalg.norm(t))
+    rep = connectivity_report(p)
+    assert rep.spectral_radius == 1.0 and rep.growth == "polynomial"
+
+
 def test_histograms_count_parameters():
     p = init_params(16, rng_seed=4)
     rep = connectivity_report(p)

@@ -354,6 +354,44 @@ def test_fmc_j0_and_nonnegativity():
         assert np.all(res.j_curve >= 0.0)
 
 
+def normal_theta(name):
+    """A normal Theta by name: a Schur form with T = 0, quasi-triangular
+    with 2x2 rotation blocks, or a dense symmetric matrix."""
+    if name == "dense_symmetric":
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        m = (q * rng.uniform(-0.95, 0.95, size=64)) @ q.T
+        return (m + m.T) / 2
+    n = int(name.removeprefix("schur_form_n"))
+    return schur_form_theta(n, (0.5, 0.97), 0.0, n)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3])
+@pytest.mark.parametrize("name", ["schur_form_n8", "schur_form_n64",
+                                  "schur_form_n128", "dense_symmetric"])
+def test_fmc_total_of_a_normal_theta_is_one_over_eps(name, eps):
+    # A normal Theta's C and its signal covariance sum_k Theta^k e_1
+    # (Theta^k e_1)^T share its eigenvectors, so the trace J_tot of their
+    # quotient is |e_1|^2 / eps (Ganguli, Huh and Sompolinsky, PNAS 2008).
+    res = fmc_from_theta(normal_theta(name), eps=eps)
+    assert abs(eps * res.j_tot - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3])
+def test_fmc_bounded_by_one_and_n_over_eps(eps):
+    # The signal covariance is at most C, so each J(k) <= 1/eps and
+    # J_tot <= n/eps; the d = 0 rows reach J(0) = 1/eps to rounding.
+    sweep = Path(memory.__file__).parent / "data" / "fmc_sweep_sm.json"
+    thetas = {json.dumps(row): build_theta_family(FmcConfig(**row))
+              for row in json.loads(sweep.read_text())["sweep"]}
+    thetas.update(factor_thetas())
+    assert len(thetas) == 12 + 5
+    for name, theta in thetas.items():
+        res = fmc_from_theta(theta, eps=eps)
+        assert res.j_curve.max() <= (1.0 + 1e-12) / eps, name
+        assert res.j_tot <= len(theta) / eps, name
+
+
 def test_delay_line_closed_form_values():
     assert delay_line_fmc_closed_form(2.0, 0) == 1.0
     assert abs(delay_line_fmc_closed_form(2.0, 1) - 2.0 / 3.0) < 1e-15
