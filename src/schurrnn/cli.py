@@ -344,14 +344,9 @@ def cmd_props(config_path, out_dir):
                       f"prop1[{i}]")
              for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}]))]
 
-    # The reports run in order, and the first failed check ends the run
-    # with status 2.
-    files = {}
-    status = 0
-    for i, row in enumerate(prop2):
-        with _named(f"prop2[{i}]"):
-            rep = propcheck.verify_prop2(row["n"], row["t_max"])
-        files[f"prop2_{i:02d}.json"] = _json_text({
+    def prop2_report(row):
+        rep = propcheck.verify_prop2(row["n"], row["t_max"])
+        return rep.all_ok, {
             "n": rep.n,
             "t_max": rep.t_max,
             "degree_ok": rep.degree_ok,
@@ -363,21 +358,28 @@ def cmd_props(config_path, out_dir):
             "polynomials": {
                 f"k={k},t={t}": rec for (k, t), rec in rep.polynomials.items()
             },
-        })
-        if not rep.all_ok:
-            status = 2
-            break
-    keys = ["n", "alpha", "sigma_max", "holds", "j_curve", "bound", "margin"]
-    for i, row in enumerate(prop1 if status == 0 else []):
-        try:
-            with _named(f"prop1[{i}]"):
-                rep = memory.prop1_bound_check(
-                    memory.delay_line_theta(row["n"], row["alpha"]))
-        except AssertionError:
-            status = 2
-            break
-        files[f"prop1_{i:02d}.json"] = _json_text(
-            {key: getattr(rep, key) for key in keys})
+        }
+
+    def prop1_report(row):
+        rep = memory.prop1_bound_check(
+            memory.delay_line_theta(row["n"], row["alpha"]))
+        keys = ["n", "alpha", "sigma_max", "holds", "j_curve", "bound",
+                "margin"]
+        return rep.holds, {key: getattr(rep, key) for key in keys}
+
+    # The reports run in order, each is written, and the first failed
+    # check ends the run with status 2.
+    files = {}
+    status = 0
+    for name, rows, run in (("prop2", prop2, prop2_report),
+                            ("prop1", prop1, prop1_report)):
+        for i, row in enumerate(rows if status == 0 else []):
+            with _named(f"{name}[{i}]"):
+                ok, doc = run(row)
+            files[f"{name}_{i:02d}.json"] = _json_text(doc)
+            if not ok:
+                status = 2
+                break
     _write(out_dir, files)
     return status
 

@@ -281,8 +281,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     triangular factor from Gram-Schmidt on the columns.  The last column
     is zero and the first n - 1 are in echelon form, so that factor is the
     R of one QR of those n - 1 columns with its rows scaled to a unit
-    diagonal.  A violation beyond ``slack`` signals an implementation bug,
-    so it raises.
+    diagonal.  ``holds`` is False when the curve falls below the bound by
+    more than ``slack``, which signals an implementation bug.
     """
     theta = _checked_theta(theta)
     n = theta.shape[0]
@@ -303,16 +303,11 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
         [delay_line_fmc_closed_form(alpha, k) for k in range(n)]
     ) / (eps * sigma_max ** (2 * (n - 1)))
     margin = j - bound
-    holds = bool(np.all(margin >= -slack))
-    report = Prop1Report(
+    return Prop1Report(
         n=n, alpha=alpha, sigma_max=sigma_max,
-        j_curve=j, bound=bound, margin=margin, holds=holds,
+        j_curve=j, bound=bound, margin=margin,
+        holds=bool(np.all(margin >= -slack)),
     )
-    if not holds:
-        raise AssertionError(
-            f"memory-curve bound violated by {-margin.min():.3e} (bug)"
-        )
-    return report
 
 
 @dataclass

@@ -6,20 +6,21 @@ the table, with its own learning rate.  Its gradient from
 exactly skew B exactly skew (the state is symmetric and every update is
 elementwise), so P = exp(B), re-exponentiated at the next assembly, never
 leaves the manifold (up to the accuracy of the matrix exponential).
-Regularizer gradients are folded into the task gradients before the
-RMSprop normalization.
+The loss adds two regularizers on the Schur parameters: an L2 pull of each
+gamma toward 1 with weight ``delta`` while gamma is learned, and an L2
+decay on T with weight ``t_decay``.  Their gradients are folded into the
+task gradients before the RMSprop normalization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import DivergenceError
 from . import rnn as rnn_mod
-from .schur import DivergenceError, regularizer_loss_and_grads
 
 __all__ = [
     "TrainConfig",
-    "DivergenceError",
     "LogRecord",
     "rmsprop_step",
     "train_loop",
@@ -32,7 +33,7 @@ class TrainConfig:
     rms_alpha: float = 0.99
     delta: float = 1e-4
     t_decay: float = 1e-6
-    gamma_mode: str = "regularized"   # "free" | "regularized" | "clamped"
+    gamma_mode: str = "regularized"   # "regularized" | "clamped"
     gamma_clamp: float = 1.0
     batch_size: int = 10
     max_updates: int = 1000
@@ -45,7 +46,7 @@ class TrainConfig:
             raise ValueError("rms_alpha must be in (0, 1)")
         if self.delta < 0 or self.t_decay < 0:
             raise ValueError("regularizer weights must be >= 0")
-        if self.gamma_mode not in ("free", "regularized", "clamped"):
+        if self.gamma_mode not in ("regularized", "clamped"):
             raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
         if self.gamma_mode == "clamped" and self.gamma_clamp <= 0:
             raise ValueError("gamma_clamp must be > 0")
@@ -91,11 +92,10 @@ def train_loop(model, stream, config):
     a gamma that is not > 0, a failed eigendecomposition of B^T B or a
     non-finite hidden state or loss.
 
-    Clamped gamma is set once here and never stepped; the gamma pull of the
-    regularizer applies in regularized mode only.
+    Clamped gamma is set once here and never stepped, and then ``delta``
+    has no effect.
     """
     clamped = config.gamma_mode == "clamped"
-    delta = config.delta if config.gamma_mode == "regularized" else 0.0
     p = model.schur
     if clamped:
         p.gamma[:] = config.gamma_clamp
@@ -124,13 +124,13 @@ def train_loop(model, stream, config):
         # RMSprop updates.
         table = [(model, name, getattr(grads, name), config.lr)
                  for name in ("u_in", "b_hidden", "w_out", "b_out")]
-        reg_loss, g_gamma_reg, g_t_reg = regularizer_loss_and_grads(
-            p, delta, config.t_decay
-        )
         sg = grads.schur
-        sg.t_lower = sg.t_lower + g_t_reg
+        reg_loss = config.t_decay * float(np.sum(p.t_lower**2))
+        sg.t_lower += 2.0 * config.t_decay * p.t_lower
         if not clamped:
-            sg.gamma = sg.gamma + g_gamma_reg
+            resid = 1.0 - p.gamma
+            reg_loss += config.delta * float(np.sum(resid**2))
+            sg.gamma -= 2.0 * config.delta * resid
             table.append((p, "gamma", sg.gamma, config.lr))
         table += [(p, "theta", sg.theta, config.lr),
                   (p, "t_lower", sg.t_lower, config.lr),

@@ -158,37 +158,24 @@ class GrowthProbe:
 
 
 def _spectral_radius(m):
-    """Largest eigenvalue modulus of the square float array ``m``.
+    """Largest eigenvalue modulus of the square float array ``m``, by
+    ``np.linalg.eigvals``.
 
-    A lower triangular or quasi-triangular ``m``, the Schur form's shape,
-    has its eigenvalues on its 1x1 and 2x2 diagonal blocks, and they are
-    read from there to rounding.  Any other ``m`` goes through
-    ``np.linalg.eigvals``.  That is exact to rounding on an upper
-    (quasi-)triangular matrix, LAPACK's own Schur form, but elsewhere a
-    defective eigenvalue with a Jordan block of size k errs by about
-    eps^(1/k): read as a dense matrix, a Schur-form Theta at n = 32 with
-    equal rotation angles and gamma = 1 gives rho = 1.02.  NaN for a
-    non-finite ``m``."""
+    That is exact to rounding on an upper (quasi-)triangular matrix,
+    LAPACK's own Schur form, but elsewhere a defective eigenvalue with a
+    Jordan block of size k errs by about eps^(1/k): read as a dense
+    matrix, a Schur-form Theta at n = 32 with equal rotation angles and
+    gamma = 1 gives rho = 1.02.  So a lower triangular or quasi-triangular
+    ``m``, the Schur form's shape, is read through its transpose, which
+    has the same eigenvalues.  NaN for a non-finite ``m``."""
     if not np.all(np.isfinite(m)):
         return np.nan
     # lower quasi-triangular: nothing above the first super-diagonal, and
     # no two neighbouring entries on it (that would be a 3x3 block)
     sup = np.diag(m, 1) != 0.0
-    if np.any(np.triu(m, 2)) or np.any(sup[:-1] & sup[1:]):
-        return float(np.max(np.abs(np.linalg.eigvals(m)), initial=0.0))
-    i = np.flatnonzero(sup)
-    single = np.ones(m.shape[0], dtype=bool)
-    single[i] = single[i + 1] = False
-    a, b, c, d = m[i, i], m[i, i + 1], m[i + 1, i], m[i + 1, i + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # eigenvalues (a + d)/2 +- sqrt(disc): a real pair, or a complex
-        # one of modulus sqrt(det)
-        disc = ((a - d) / 2) ** 2 + b * c
-        pair = np.where(disc >= 0.0,
-                        np.abs(a + d) / 2 + np.sqrt(np.maximum(disc, 0.0)),
-                        np.sqrt(np.maximum(a * d - b * c, 0.0)))
-    return float(max(np.max(np.abs(np.diag(m)[single]), initial=0.0),
-                     np.max(pair, initial=0.0)))
+    if not (np.any(np.triu(m, 2)) or np.any(sup[:-1] & sup[1:])):
+        m = m.T
+    return float(np.max(np.abs(np.linalg.eigvals(m)), initial=0.0))
 
 
 def iterate_growth_probe(m, t_max=100):

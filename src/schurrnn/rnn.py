@@ -12,8 +12,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import DivergenceError
 from . import schur as schur_mod
-from .schur import DivergenceError, SchurCache, SchurParamGrads, SchurParams
+from .schur import SchurCache, SchurParamGrads, SchurParams
 
 __all__ = [
     "RnnModel",

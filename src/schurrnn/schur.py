@@ -16,14 +16,12 @@ import numpy as np
 from . import DivergenceError
 
 __all__ = [
-    "DivergenceError",
     "SchurCache",
     "SchurParams",
     "SchurParamGrads",
     "assemble_theta",
     "assemble_v",
     "backward_v",
-    "regularizer_loss_and_grads",
     "init_params",
     "t_lower_mask",
     "save_checkpoint",
@@ -209,9 +207,7 @@ def backward_v(p, grad_v, cache):
     d_gamma = c * (g00 + g11) + s * (g10 - g01)
     d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
     # t_lower owns the strictly-lower entries outside the blocks.
-    grad_t = np.tril(grad_theta, -1)
-    odd = np.arange(1, n, 2)
-    grad_t[odd, odd - 1] = 0.0
+    grad_t = np.where(t_lower_mask(n), grad_theta, 0.0)
 
     # Pull dL/dP back through the exponential map.  cos h+-, sin h+ come
     # from the half-angle outer products; sin h- is taken directly, since
@@ -243,24 +239,6 @@ def backward_v(p, grad_v, cache):
         theta=d_theta,
         t_lower=grad_t,
     )
-
-
-def regularizer_loss_and_grads(p, delta, t_decay):
-    """L2 pull of gamma toward 1 with weight ``delta`` plus L2 decay on the
-    strictly-lower part.  Returns (loss, gamma_grad, t_lower_grad)."""
-    if delta < 0 or t_decay < 0:
-        raise ValueError("regularizer weights must be >= 0")
-    loss = 0.0
-    gamma_grad = np.zeros_like(p.gamma)
-    if delta > 0:
-        resid = 1.0 - p.gamma
-        loss += delta * float(np.sum(resid**2))
-        gamma_grad = -2.0 * delta * resid
-    t_grad = np.zeros_like(p.t_lower)
-    if t_decay > 0:
-        loss += t_decay * float(np.sum(p.t_lower**2))
-        t_grad = 2.0 * t_decay * p.t_lower
-    return loss, gamma_grad, t_grad
 
 
 def _skew_from_lower(lower):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurrnn import cli
+from schurrnn import cli, memory
 from schurrnn.optim import LogRecord
 from schurrnn.schur import init_params, save_checkpoint
 
@@ -370,10 +370,10 @@ def test_train_eigh_failure_exit_2_keeps_log(tmp_path, capsys):
 
 
 def test_train_nonpositive_gamma_exit_2_keeps_log(tmp_path, capsys):
-    # free gamma with a large learning rate drives some gamma <= 0
+    # unregularized gamma with a large learning rate drives some gamma <= 0
     path = train_config(tmp_path, train={
         "max_updates": 15, "log_every": 1, "batch_size": 4,
-        "gamma_mode": "free", "lr": 0.5})
+        "delta": 0.0, "lr": 0.5})
     out = tmp_path / "out"
     code = cli.main(["train", "--config", path, "--out", str(out)])
     err = capsys.readouterr().err
@@ -448,6 +448,22 @@ def test_props_default_grid(tmp_path):
     # a huge alpha: the closed-form bound does not overflow
     doc3 = json.loads((out / "prop1_02.json").read_text())
     assert doc3["holds"] and doc3["bound"] == doc3["j_curve"] == [1.0, 1.0]
+
+
+def test_props_failed_bound_writes_its_report_exit_2(tmp_path, monkeypatch):
+    # a doubled closed form puts the bound above every delay line's curve
+    closed_form = memory.delay_line_fmc_closed_form
+    monkeypatch.setattr(memory, "delay_line_fmc_closed_form",
+                        lambda alpha, k: 2.0 * closed_form(alpha, k))
+    path = write_json(tmp_path / "props.json", {
+        "prop2": [{"n": 3, "t_max": 4}],
+        "prop1": [{"n": 6, "alpha": 1.0}, {"n": 4, "alpha": 0.9}]})
+    out = tmp_path / "props"
+    assert cli.main(["props", "--config", path, "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["prop1_00.json", "prop2_00.json"]
+    doc = json.loads((out / "prop1_00.json").read_text())
+    assert doc["holds"] is False
+    assert min(doc["margin"]) < 0.0
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e200])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import jtot_oracle
-from schurrnn import memory
+from schurrnn import DivergenceError, memory
 from schurrnn.memory import (
     ROW_BLOCKS,
     SERIES_TOL,
@@ -23,7 +23,6 @@ from schurrnn.memory import (
     transient_ensemble,
 )
 from schurrnn.schur import (
-    DivergenceError,
     assemble_theta,
     init_params,
     t_lower_mask,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from schurrnn import rnn, tasks
+from schurrnn import DivergenceError, optim, rnn, tasks
 from schurrnn.optim import (
-    DivergenceError,
     TrainConfig,
     rmsprop_step,
     train_loop,
@@ -81,8 +80,9 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(rms_alpha=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(gamma_mode="nope")
+    for mode in ("nope", "free"):
+        with pytest.raises(ValueError, match="unknown gamma mode"):
+            TrainConfig(gamma_mode=mode)
     with pytest.raises(ValueError):
         TrainConfig(gamma_mode="clamped", gamma_clamp=0.0)
 
@@ -109,12 +109,61 @@ def test_train_loop_clamped_gamma_fixed(clamp):
     assert np.all(model.schur.gamma == clamp)
 
 
-def test_train_loop_free_gamma_moves():
+def test_train_loop_delta_0_gamma_moves():
     spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
     model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
-    cfg = TrainConfig(max_updates=30, log_every=10, gamma_mode="free")
+    cfg = TrainConfig(max_updates=30, log_every=10, delta=0.0)
     train_loop(model, tasks.copy_stream(spec), cfg)
     assert np.any(model.schur.gamma != 1.0)
+
+
+@pytest.mark.parametrize("mode,delta", [
+    ("regularized", 0.1), ("regularized", 0.0), ("clamped", 0.1),
+], ids=["delta", "delta_0", "clamped"])
+def test_train_loop_regularizer(monkeypatch, mode, delta):
+    """The first update's reg_loss is delta * sum (1 - gamma)^2, while gamma
+    is learned, plus t_decay * sum t^2, and the gamma and t_lower
+    gradients handed to RMSprop are bptt's plus the derivatives of those
+    terms."""
+    n, t_decay, clamp = 8, 0.01, 0.9
+    spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
+    model = init_model(n, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
+    p = model.schur
+    rng = np.random.default_rng(0)
+    p.gamma = (np.full(n // 2, clamp) if mode == "clamped"
+               else rng.uniform(0.8, 1.2, n // 2))
+    p.t_lower = rng.normal(size=(n, n)) * t_lower_mask(n)
+    resid, t_lower = 1.0 - p.gamma, p.t_lower.copy()
+    batch = next(tasks.copy_stream(spec))
+    task = rnn.bptt(model, batch, fwd=rnn.forward(model, batch)).schur
+    handed = {}
+    real = optim.rmsprop_step
+
+    def spy(param, grad, *args):
+        for name in ("gamma", "t_lower"):
+            if param is getattr(p, name):
+                handed[name] = grad.copy()
+        return real(param, grad, *args)
+
+    monkeypatch.setattr(optim, "rmsprop_step", spy)
+    cfg = TrainConfig(max_updates=1, log_every=1, gamma_mode=mode,
+                      gamma_clamp=clamp, delta=delta, t_decay=t_decay)
+    [rec] = train_loop(model, tasks.copy_stream(spec), cfg).records
+
+    reg = t_decay * np.sum(t_lower**2)
+    np.testing.assert_allclose(handed["t_lower"],
+                               task.t_lower + 2 * t_decay * t_lower,
+                               rtol=1e-13, atol=0.0)
+    if mode == "clamped":
+        assert "gamma" not in handed
+        assert np.all(p.gamma == clamp)
+    else:
+        reg += delta * np.sum(resid**2)
+        np.testing.assert_allclose(handed["gamma"],
+                                   task.gamma - 2 * delta * resid,
+                                   rtol=1e-13, atol=0.0)
+    assert rec.reg_loss == pytest.approx(reg, rel=1e-13)
+    assert rec.loss == rec.task_loss + rec.reg_loss
 
 
 def test_train_loop_divergence_names_update():

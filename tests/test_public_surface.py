@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -18,6 +19,17 @@ def test_all_names_exist(name):
     mod = importlib.import_module(f"schurrnn.{name}")
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
     exec(f"from schurrnn.{name} import *", {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_defines_its_own_names(name):
+    """Every function or class a module exports in ``__all__`` is defined
+    there, so no module re-exports another's."""
+    mod = importlib.import_module(f"schurrnn.{name}")
+    objs = [getattr(mod, n) for n in mod.__all__]
+    assert [obj.__qualname__ for obj in objs
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ != mod.__name__] == []
 
 
 @pytest.mark.parametrize("statement,loaded", [

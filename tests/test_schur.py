@@ -8,15 +8,14 @@ import pytest
 from scipy.linalg import expm, expm_frechet
 
 import schurrnn
+from schurrnn import DivergenceError
 from schurrnn.schur import (
-    DivergenceError,
     SchurParams,
     assemble_theta,
     assemble_v,
     backward_v,
     init_params,
     load_checkpoint,
-    regularizer_loss_and_grads,
     save_checkpoint,
     t_lower_mask,
 )
@@ -247,20 +246,6 @@ def test_import_loads_no_scipy():
          f"import sys, {modules}; assert not any("
          "m.split('.')[0] == 'scipy' for m in sys.modules)"],
         env=env, check=True)
-
-
-def test_regularizer_values_and_grads():
-    p = init_params(4)
-    p.gamma = np.array([0.8, 1.1])
-    p.t_lower = np.where(t_lower_mask(4), 0.5, 0.0)
-    loss, g_gamma, g_t = regularizer_loss_and_grads(p, 0.1, t_decay=0.01)
-    expected = 0.1 * (0.2**2 + 0.1**2) + 0.01 * float(np.sum(p.t_lower**2))
-    assert abs(loss - expected) < 1e-14
-    assert np.allclose(g_gamma, [-2 * 0.1 * 0.2, 2 * 0.1 * 0.1])
-    assert np.allclose(g_t, 2 * 0.01 * p.t_lower)
-    # delta = 0 (free and clamped modes): no gamma pull
-    loss_f, g_gamma_f, _ = regularizer_loss_and_grads(p, 0.0, 0.0)
-    assert loss_f == 0.0 and np.all(g_gamma_f == 0.0)
 
 
 def test_init_schemes():
