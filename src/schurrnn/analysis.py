@@ -23,30 +23,17 @@ NONNORMAL_RATIO = 0.20
 class ConnectivityReport:
     n: int
     mean_gamma: float
+    t_frobenius: float
+    theta_frobenius: float
+    nonnormality_ratio: float        # t_frobenius / theta_frobenius; 0 at 0
+    regime: str                      # "normal", "intermediate" or "non-normal"
+    top_singular_value: float
+    spectral_radius: float           # max gamma: V's eigenvalues are gamma e^{+-i theta}
+    growth: str                      # iterate_growth_probe's label of Theta
     gamma_histogram: np.ndarray      # counts, 64 bins over [min, max]
     gamma_bin_edges: np.ndarray
     theta_histogram: np.ndarray      # counts, 64 uniform bins over [0, 2pi)
     subdiag_profile: np.ndarray      # m_k = mean_i |Theta_{i+k,i}|, k=1..n-1
-    t_frobenius: float
-    theta_frobenius: float
-    top_singular_value: float
-    spectral_radius: float           # max gamma: V's eigenvalues are gamma e^{+-i theta}
-    growth: str                      # iterate_growth_probe's label of Theta
-
-    @property
-    def nonnormality_ratio(self):
-        if self.theta_frobenius == 0.0:
-            return 0.0
-        return self.t_frobenius / self.theta_frobenius
-
-    @property
-    def regime(self):
-        ratio = self.nonnormality_ratio
-        if ratio <= NORMAL_RATIO:
-            return "normal"
-        if ratio > NONNORMAL_RATIO:
-            return "non-normal"
-        return "intermediate"
 
 
 def connectivity_report(p):
@@ -68,16 +55,28 @@ def connectivity_report(p):
         [np.mean(np.abs(np.diag(theta, -k))) for k in range(1, n)]
     )
 
+    t_frobenius = float(np.linalg.norm(p.t_lower))
+    theta_frobenius = float(np.linalg.norm(theta))
+    ratio = t_frobenius / theta_frobenius if theta_frobenius != 0.0 else 0.0
+    if ratio <= NORMAL_RATIO:
+        regime = "normal"
+    elif ratio > NONNORMAL_RATIO:
+        regime = "non-normal"
+    else:
+        regime = "intermediate"
+
     return ConnectivityReport(
         n=n,
         mean_gamma=float(np.mean(p.gamma)),
+        t_frobenius=t_frobenius,
+        theta_frobenius=theta_frobenius,
+        nonnormality_ratio=ratio,
+        regime=regime,
+        top_singular_value=float(np.linalg.norm(v, 2)),
+        spectral_radius=float(np.max(p.gamma)),
+        growth=iterate_growth_probe(theta).label,
         gamma_histogram=gamma_hist,
         gamma_bin_edges=gamma_edges,
         theta_histogram=theta_hist,
         subdiag_profile=profile,
-        t_frobenius=float(np.linalg.norm(p.t_lower)),
-        theta_frobenius=float(np.linalg.norm(theta)),
-        top_singular_value=float(np.linalg.norm(v, 2)),
-        spectral_radius=float(np.max(p.gamma)),
-        growth=iterate_growth_probe(theta).label,
     )

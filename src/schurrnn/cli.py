@@ -3,8 +3,12 @@
 Subcommands: train, fmc, transients, props, report.  Configs are JSON
 documents validated field-by-field (unknown keys and mistyped values are
 rejected); outputs are CSV curves and JSON reports meant for external
-plotting.  This module owns their formats.  Each command checks its config,
-computes every result in memory, then writes its files with one call to
+plotting.  A file that holds one result record takes its keys, or its CSV
+columns, from that record's dataclass fields, in field order; this module
+keeps only the file names and the encoding (``csv.writer``, which writes
+floats as their shortest round-trip repr, and JSON with indent 2, arrays
+as lists).  Each command checks its config, computes every result in
+memory, then writes its files with one call to
 :func:`_write`; the checkpoint, a format with its own reader, is written
 by :func:`schurrnn.schur.save_checkpoint`.  Each command imports the
 library modules it runs, and no others, when it is called.
@@ -134,6 +138,15 @@ def _from_doc(cls, doc, where, keys=None):
         return cls(**values)
 
 
+def _seed(doc, override):
+    """The run's seed: ``override`` (``--seed``) if given, else the config's
+    ``seed``, else 0."""
+    seed = override if override is not None else doc.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, not {seed}")
+    return seed
+
+
 # --- output files -------------------------------------------------------------
 
 def _csv_text(header, rows):
@@ -165,16 +178,10 @@ def _report_files(params):
     from . import analysis
 
     rep = analysis.connectivity_report(params)
-    keys = ["n", "mean_gamma", "t_frobenius", "theta_frobenius",
-            "nonnormality_ratio", "regime", "top_singular_value",
-            "spectral_radius", "growth", "gamma_histogram", "gamma_bin_edges",
-            "theta_histogram", "subdiag_profile"]
-    profile = [[k, repr(float(m))]
-               for k, m in enumerate(rep.subdiag_profile, start=1)]
     return {
-        "connectivity_report.json": _json_text(
-            {key: getattr(rep, key) for key in keys}),
-        "subdiag_profile.csv": _csv_text(["k", "mean_abs"], profile),
+        "connectivity_report.json": _json_text(vars(rep)),
+        "subdiag_profile.csv": _csv_text(
+            ["k", "mean_abs"], enumerate(rep.subdiag_profile, start=1)),
     }
 
 
@@ -229,7 +236,7 @@ def cmd_train(config_path, out_dir, seed_override):
     doc = _checked(_load_json(config_path),
                    {"task": dict, "model": dict, "train": dict, "seed": int},
                    {"task", "model"}, "config")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    seed = _seed(doc, seed_override)
     model_doc = _checked(doc["model"], {"n": int, "scheme": str}, {"n"},
                          "model")
     scheme = model_doc.get("scheme", "henaff")
@@ -276,7 +283,7 @@ def cmd_fmc(config_path, out_dir):
     summary = []
     failure = None
     for i, cfg in enumerate(configs):
-        row = [i, cfg.n, repr(cfg.d), repr(cfg.alpha), repr(cfg.beta)]
+        row = [i, cfg.n, cfg.d, cfg.alpha, cfg.beta]
         try:
             with _named(f"sweep[{i}]"):
                 res = memory.fisher_memory_curve(cfg)
@@ -284,9 +291,9 @@ def cmd_fmc(config_path, out_dir):
             summary.append(row + ["", "diverged"])
             failure = failure or f"sweep[{i}]: {exc}"
             continue
-        files[f"fmc_{i:02d}.csv"] = _csv_text(
-            ["k", "j"], [[k, repr(float(j))] for k, j in enumerate(res.j_curve)])
-        summary.append(row + [repr(res.j_tot), "ok"])
+        files[f"fmc_{i:02d}.csv"] = _csv_text(["k", "j"],
+                                               enumerate(res.j_curve))
+        summary.append(row + [res.j_tot, "ok"])
     files["fmc_summary.csv"] = _csv_text(
         ["row", "n", "d", "alpha", "beta", "j_tot", "status"], summary)
     _write(out_dir, files)
@@ -305,7 +312,7 @@ def cmd_transients(config_path, out_dir, seed_override):
                    {"configs": list, "n_samples": int,
                     "t_max": typing.Optional[int], "seed": int},
                    {"configs"}, "config")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    seed = _seed(doc, seed_override)
     configs = [_from_doc(memory.FmcConfig, row, f"configs[{i}]",
                          keys={"n", "d", "alpha", "beta"})
                for i, row in enumerate(doc["configs"])]
@@ -316,16 +323,9 @@ def cmd_transients(config_path, out_dir, seed_override):
             stats = memory.transient_ensemble(
                 cfg, n_samples=doc.get("n_samples", 1000),
                 t_max=doc.get("t_max"), rng_seed=seed)
+        columns = vars(stats)
         files[f"transients_{i:02d}.csv"] = _csv_text(
-            ["t", "unit_std_mean", "unit_std_std", "norm_mean", "norm_std"],
-            [
-                [int(t), repr(float(a)), repr(float(b)),
-                 repr(float(c)), repr(float(d))]
-                for t, a, b, c, d in zip(
-                    stats.t, stats.unit_std_mean, stats.unit_std_std,
-                    stats.norm_mean, stats.norm_std)
-            ],
-        )
+            list(columns), zip(*columns.values()))
     _write(out_dir, files)
     return 0
 
@@ -346,26 +346,13 @@ def cmd_props(config_path, out_dir):
 
     def prop2_report(row):
         rep = propcheck.verify_prop2(row["n"], row["t_max"])
-        return rep.all_ok, {
-            "n": rep.n,
-            "t_max": rep.t_max,
-            "degree_ok": rep.degree_ok,
-            "constant_ok": rep.constant_ok,
-            "recurrence_ok": rep.recurrence_ok,
-            "ratio_ok": rep.ratio_ok,
-            "max_ratio": rep.max_ratio,
-            "growth_slopes": {str(k): v for k, v in rep.growth_slopes.items()},
-            "polynomials": {
-                f"k={k},t={t}": rec for (k, t), rec in rep.polynomials.items()
-            },
-        }
+        return rep.all_ok, {**vars(rep), "polynomials": {
+            f"k={k},t={t}": rec for (k, t), rec in rep.polynomials.items()}}
 
     def prop1_report(row):
         rep = memory.prop1_bound_check(
             memory.delay_line_theta(row["n"], row["alpha"]))
-        keys = ["n", "alpha", "sigma_max", "holds", "j_curve", "bound",
-                "margin"]
-        return rep.holds, {key: getattr(rep, key) for key in keys}
+        return rep.holds, vars(rep)
 
     # The reports run in order, each is written, and the first failed
     # check ends the run with status 2.

@@ -265,10 +265,10 @@ class Prop1Report:
     n: int
     alpha: float
     sigma_max: float
+    holds: bool
     j_curve: np.ndarray
     bound: np.ndarray
     margin: np.ndarray       # J(k) - bound(k), must be >= -slack
-    holds: bool
 
 
 def prop1_bound_check(theta, eps=1.0, slack=1e-9):
@@ -305,8 +305,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     margin = j - bound
     return Prop1Report(
         n=n, alpha=alpha, sigma_max=sigma_max,
-        j_curve=j, bound=bound, margin=margin,
         holds=bool(np.all(margin >= -slack)),
+        j_curve=j, bound=bound, margin=margin,
     )
 
 
@@ -394,8 +394,8 @@ def _ensemble(summaries):
 @functools.lru_cache(maxsize=1)
 def _starting_states(rng_seed, n_samples, n):
     """The rows of one ``default_rng(rng_seed).normal(size=(n_samples, n))``
-    draw, each normalized; read-only.  The cache holds the last integer
-    seed's draw (see :func:`ensemble_from_theta`)."""
+    draw, each normalized; read-only.  The cache holds the last seed's draw
+    (see :func:`ensemble_from_theta`)."""
     rng = np.random.default_rng(rng_seed)
     with _sized_by(f"n_samples = {n_samples} by n = {n}"):
         x = rng.normal(size=(n_samples, n))
@@ -414,10 +414,10 @@ def ensemble_from_theta(theta, n_samples=1000, t_max=None, rng_seed=0):
     ``np.random.default_rng(rng_seed).normal(size=(n_samples, n))`` draw,
     each normalized.  The draw fills row by row, so sample s depends only
     on (seed, s, n): the first m samples are the same for any
-    ``n_samples >= m``.  An integer seed's draw is shared: the last one is
-    kept, read-only, between calls (n_samples * n floats), so calls with
-    the same (seed, n_samples, n) draw once.  Any other seed (None, a
-    SeedSequence or a Generator) draws afresh on every call.
+    ``n_samples >= m``.  The seed is an integer >= 0, and its draw is
+    shared: the last one is kept, read-only, between calls
+    (n_samples * n floats), so calls with the same (seed, n_samples, n)
+    draw once.
 
     When Theta equals alpha * S, S the down-shift (one O(n^2) comparison),
     nothing is stepped: h_t = alpha^t S^t h_0 keeps the first n - t units
@@ -453,7 +453,8 @@ def ensemble_from_theta(theta, n_samples=1000, t_max=None, rng_seed=0):
     The prefix sums and the w_t equal a dense GEMM step to rounding, not
     bit for bit: they add in another order than per-step reductions.
     Raises ``ValueError`` for a Theta that is not a finite square matrix
-    of order n >= 2, :class:`DivergenceError` when a statistic overflows,
+    of order n >= 2 or a seed that is not an integer >= 0,
+    :class:`DivergenceError` when a statistic overflows,
     and names ``n_samples`` or ``t_max`` in the error of an array too
     large to allocate.
     """
@@ -462,12 +463,12 @@ def ensemble_from_theta(theta, n_samples=1000, t_max=None, rng_seed=0):
         raise ValueError("n_samples must be >= 1")
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be >= 0")
+    if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be an integer >= 0, not {rng_seed!r}")
     n = theta.shape[0]
     t_max = t_max if t_max is not None else 2 * n
 
-    draw = (_starting_states if isinstance(rng_seed, numbers.Integral)
-            else _starting_states.__wrapped__)
-    x = draw(rng_seed, n_samples, n)
+    x = _starting_states(rng_seed, n_samples, n)
     with _sized_by(f"t_max = {t_max}"):
         summaries = np.zeros((4, t_max + 1))
     if np.array_equal(theta, theta[1, 0] * np.eye(n, k=-1)):

@@ -57,16 +57,16 @@ def _poly_matmul(a, b):
 class Prop2Report:
     n: int
     t_max: int
-    # (k, t) -> {"degree": int, "constant": int, "coeffs": [int, ...]}
-    polynomials: dict
-    # coefficient index l -> fitted log-log slope of coeff(x^l) in p_k(t)
-    # versus t, for the largest gap
-    growth_slopes: dict
     degree_ok: bool
     constant_ok: bool
     recurrence_ok: bool
     ratio_ok: bool
     max_ratio: float
+    # coefficient index l -> fitted log-log slope of coeff(x^l) in p_k(t)
+    # versus t, for the largest gap
+    growth_slopes: dict
+    # (k, t) -> {"degree": int, "constant": int, "coeffs": [int, ...]}
+    polynomials: dict
 
     @property
     def all_ok(self):
@@ -139,13 +139,13 @@ def verify_prop2(n, t_max):
     return Prop2Report(
         n=n,
         t_max=t_max,
-        polynomials=polynomials,
-        growth_slopes=growth_slopes,
         degree_ok=degree_ok,
         constant_ok=constant_ok,
         recurrence_ok=recurrence_ok,
         ratio_ok=ratio_ok,
         max_ratio=max_ratio,
+        growth_slopes=growth_slopes,
+        polynomials=polynomials,
     )
 
 

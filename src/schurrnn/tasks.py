@@ -23,7 +23,6 @@ __all__ = [
     "copy_baseline_loss",
     "CharLmSpec",
     "char_lm_stream",
-    "build_vocabulary",
     "COPY_N_SYMBOLS",
     "COPY_N_DATA",
 ]
@@ -53,10 +52,9 @@ class CopyTaskSpec:
         return self.delay + 2 * COPY_N_DATA
 
 
-def copy_batch(spec, rng=None):
-    """One batch of copy-task sequences.  With no explicit ``rng`` the
-    spec's seed produces the same batch every call."""
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
+def copy_batch(spec, rng):
+    """One batch of copy-task sequences, its data symbols drawn from the
+    generator ``rng``."""
     b, t_len, delay = spec.batch_size, spec.seq_len, spec.delay
 
     data = rng.integers(0, COPY_N_SYMBOLS, size=(b, COPY_N_DATA))
@@ -75,7 +73,7 @@ def copy_stream(spec):
     """Endless iterator of fresh copy-task batches from one seeded RNG."""
     rng = np.random.default_rng(spec.seed)
     while True:
-        yield copy_batch(spec, rng=rng)
+        yield copy_batch(spec, rng)
 
 
 def copy_baseline_loss(delay):
@@ -87,22 +85,14 @@ def copy_baseline_loss(delay):
 
 # --- character-level prediction ----------------------------------------------
 
-def build_vocabulary(text_bytes):
-    """Sorted distinct bytes -> contiguous ids.  Returns (byte -> id dict,
-    id -> byte list)."""
-    alphabet = sorted(set(text_bytes))
-    if not alphabet:
-        raise ValueError("corpus is empty")
-    return {ch: i for i, ch in enumerate(alphabet)}, alphabet
-
-
 @dataclass
 class CharLmSpec:
     corpus_path: str
     window: int = 150
     batch_size: int = 8
     seed: int = 0
-    vocab: dict = field(init=False, repr=False)
+    # the corpus's distinct bytes, sorted, and each byte's index among them
+    alphabet: np.ndarray = field(init=False, repr=False)
     ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -114,12 +104,12 @@ class CharLmSpec:
             raw = fh.read()
         if len(raw) < self.window + 1:
             raise ValueError("corpus shorter than one window")
-        self.vocab, _ = build_vocabulary(raw)
-        self.ids = np.array([self.vocab[b] for b in raw], dtype=np.int64)
+        self.alphabet, self.ids = np.unique(np.frombuffer(raw, np.uint8),
+                                            return_inverse=True)
 
     @property
     def vocab_size(self):
-        return len(self.vocab)
+        return len(self.alphabet)
 
 
 class _CharLmStream:

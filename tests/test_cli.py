@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurrnn import cli, memory
+from schurrnn import analysis, cli, memory, propcheck
 from schurrnn.optim import LogRecord
-from schurrnn.schur import init_params, save_checkpoint
+from schurrnn.schur import init_params, load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = "src/schurrnn/data/fmc_sweep_sm.json"
@@ -42,6 +42,7 @@ NAMED_KEYS = {
     "copy_char_lm_keys": ["corpus", "window"],
     "char_lm_delay": ["delay"],
     "transients_n_unallocatable": ["n = 33554432"],
+    **dict.fromkeys(["seed_negative", "transients_seed_negative"], ["seed"]),
 }
 CORPUS = str(ROOT / "src" / "schurrnn" / "data" / "corpus.txt")
 
@@ -67,17 +68,6 @@ def test_train_smoke(tmp_path):
     assert (out / "connectivity_report.json").exists()
     rows = list(csv.reader((out / "train_log.csv").open()))
     assert len(rows) == 4  # header + 3 logged steps
-
-
-def test_train_log_header_is_log_record_fields(tmp_path):
-    path = train_config(tmp_path, task={"kind": "copy", "delay": 3},
-                        train={"max_updates": 20, "log_every": 10,
-                               "batch_size": 4})
-    out = tmp_path / "out"
-    assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "train_log.csv").open()))
-    assert rows[0] == [f.name for f in dataclasses.fields(LogRecord)]
-    assert len(rows) == 3
 
 
 def test_train_zero_updates_checkpoint_is_init(tmp_path):
@@ -142,12 +132,14 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
     {"task": {"kind": "copy", "delay": 5, "window": 7,
               "corpus": "nonexistent.txt"}},
     {"task": {"kind": "char_lm", "corpus": CORPUS, "window": 8, "delay": 5}},
+    {"seed": -1},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
         "max_updates_negative", "log_every_negative", "max_updates_bool",
         "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
         "batch_size_huge", "delay_huge", "nested", "batch_size_unallocatable",
-        "delay_unallocatable", "copy_char_lm_keys", "char_lm_delay"])
+        "delay_unallocatable", "copy_char_lm_keys", "char_lm_delay",
+        "seed_negative"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, request, over):
     # a string is the whole config document
     config = (write_json(tmp_path / "train.json", over)
@@ -216,6 +208,7 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
                     "configs": [{"n": 10, "alpha": 1.05, "beta": 0.1}]}),
     # a Theta of 8 PiB, the first array a transients row builds
     ("transients", {**TRANSIENTS, "configs": [{"n": 2**25, "alpha": 1.05}]}),
+    ("transients", {**TRANSIENTS, "seed": -1}),
 ], ids=["transients_d", "transients_n", "n_samples", "t_max", "configs_list",
         "prop2_n", "prop1_alpha", "prop1_n", "prop2_list", "prop2_t_max",
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
@@ -225,7 +218,7 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
         "fmc_nested", "transients_nested", "props_nested", "report_nested",
         "report_t_in_block", "n_samples_unallocatable", "fmc_n_unallocatable",
         "fmc_n_deep_list", "t_max_huge", "t_max_unallocatable_beta",
-        "transients_n_unallocatable"])
+        "transients_n_unallocatable", "transients_seed_negative"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, request, command,
                                       doc):
     out = tmp_path / "o"
@@ -313,6 +306,18 @@ def test_usage_error_exit_1(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["train", "transients"])
+def test_negative_seed_override_exit_1(tmp_path, capsys, command):
+    config = (train_config(tmp_path) if command == "train"
+              else write_json(tmp_path / "c.json", TRANSIENTS))
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", config, "--out", str(out),
+                     "--seed", "-3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, not -3\n"
+    assert not out.exists()
 
 
 def test_help_exit_0(capsys):
@@ -490,6 +495,76 @@ def test_transients_deterministic_bytes(tmp_path):
     b1 = (out1 / "transients_00.csv").read_bytes()
     assert b1 == (out2 / "transients_00.csv").read_bytes()
     assert len(b1) > 0
+
+
+@pytest.mark.parametrize("command,name,record", [
+    ("train", "train_log.csv", LogRecord),
+    ("train", "connectivity_report.json", analysis.ConnectivityReport),
+    ("transients", "transients_00.csv", memory.TransientStats),
+    ("props", "prop1_00.json", memory.Prop1Report),
+    ("props", "prop2_00.json", propcheck.Prop2Report),
+], ids=["train_log", "connectivity_report", "transients", "prop1", "prop2"])
+def test_output_keys_are_record_fields(tmp_path, command, name, record):
+    # a file's JSON keys, or its CSV header, are the fields of the record
+    # it is written from, in field order
+    docs = {"transients": TRANSIENTS, "props": PROPS}
+    config = (train_config(tmp_path) if command == "train"
+              else write_json(tmp_path / "c.json", docs[command]))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    with open(out / name) as fh:
+        keys = next(csv.reader(fh)) if name.endswith(".csv") else list(
+            json.load(fh))
+    assert keys == [f.name for f in dataclasses.fields(record)]
+
+
+def assert_cells_are_floats(cells, values):
+    """Each cell is the repr of its float64 value and parses back to it
+    bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    assert len(cells) == len(values)
+    for cell, value in zip(cells, values):
+        assert cell == repr(float(value))
+        assert np.float64(cell).tobytes() == value.tobytes()
+
+
+def test_csv_floats_round_trip(tmp_path):
+    sweep = [{"n": 12, "d": 0.2, "alpha": 1.05, "beta": 0.005},
+             {"n": 6, "alpha": 0.95}]
+    out = tmp_path / "fmc"
+    config = write_json(tmp_path / "sweep.json", {"sweep": sweep})
+    assert cli.main(["fmc", "--config", config, "--out", str(out)]) == 0
+    summary = list(csv.reader((out / "fmc_summary.csv").open()))[1:]
+    for i, row in enumerate(sweep):
+        cfg = memory.FmcConfig(**row)
+        res = memory.fisher_memory_curve(cfg)
+        rows = list(csv.reader((out / f"fmc_{i:02d}.csv").open()))[1:]
+        assert [r[0] for r in rows] == [str(k) for k in range(len(rows))]
+        assert_cells_are_floats([r[1] for r in rows], res.j_curve)
+        assert_cells_are_floats(summary[i][2:6],
+                                [cfg.d, cfg.alpha, cfg.beta, res.j_tot])
+
+    doc = {"configs": [{"n": 10, "alpha": 1.05, "beta": 0.1}],
+           "n_samples": 50, "t_max": 12, "seed": 3}
+    out = tmp_path / "transients"
+    config = write_json(tmp_path / "t.json", doc)
+    assert cli.main(["transients", "--config", config, "--out", str(out)]) == 0
+    stats = memory.transient_ensemble(memory.FmcConfig(**doc["configs"][0]),
+                                      n_samples=50, t_max=12, rng_seed=3)
+    header, *rows = csv.reader((out / "transients_00.csv").open())
+    assert [r[0] for r in rows] == [str(t) for t in stats.t]
+    for j, key in enumerate(header[1:], start=1):
+        assert_cells_are_floats([r[j] for r in rows], getattr(stats, key))
+
+    out = tmp_path / "train"
+    assert cli.main(["train", "--config", train_config(tmp_path),
+                     "--out", str(out)]) == 0
+    params, _, _ = load_checkpoint(out / "checkpoint.json")
+    profile = analysis.connectivity_report(params).subdiag_profile
+    assert np.any(profile != 0.0)
+    rows = list(csv.reader((out / "subdiag_profile.csv").open()))[1:]
+    assert [r[0] for r in rows] == [str(k) for k in range(1, params.n)]
+    assert_cells_are_floats([r[1] for r in rows], profile)
 
 
 CONFIGS = sorted(ROOT.glob("configs/*.json"))

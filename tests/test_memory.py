@@ -814,25 +814,24 @@ def test_transient_draw_is_prefix_stable():
 def test_transient_allocation_budget(beta):
     """Peak traced allocation of one ensemble at the benchmark shape, in
     units of one (n, n_samples) float64 state: on a cold call (a seed not
-    drawn before, so the draw is allocated and then held), on a warm one
-    (the same seed again: the normalized draw of the last integer seed is
-    held across calls and not allocated) and on a fresh draw (a Generator
-    seed, drawn on every call and not held).  With beta != 0 the
+    drawn before, so the draw is allocated and then held) and on a warm one
+    (the same seed again: the normalized draw of the last seed is held
+    across calls and not allocated).  With beta != 0 the
     statistics live in two (t_max + 1, n_samples) arrays (2.42 units) and
     the state in two reused buffers beside the draw; the unit sums of all
     steps come from one GEMM before stepping, each step writes its sum of
     squares straight into the norms array, and the sums are transformed
-    and summarized in place: about 5.61, 4.61 and 4.61 units.  A further
+    and summarized in place: about 5.61 and 4.61 units.  A further
     state-sized array alive across the loop would break the budget.  With
     beta = 0 (and d = 0) the two prefix sums are taken, transformed and
-    summarized in one (2, n, n_samples) buffer: about 3.09, 2.09 and 3.09
-    units, against 4.50, 3.50 and 4.50 when they were copied into two
+    summarized in one (2, n, n_samples) buffer: about 3.09 and 2.09 units,
+    against 4.50 and 3.50 when they were copied into two
     (t_max + 1, n_samples) arrays first."""
     n, n_samples, t_max = 100, 1000, 120
     cfg = FmcConfig(n=n, d=0.0, alpha=1.0, beta=beta)
     transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
                        rng_seed=0)  # warm up
-    for seed in (1, 1, np.random.default_rng(1)):   # cold, warm, fresh
+    for seed in (1, 1):   # cold, warm
         tracemalloc.start()
         try:
             transient_ensemble(cfg, n_samples=n_samples, t_max=t_max,
@@ -864,18 +863,11 @@ def test_starting_states_cache_keeps_seed_meaning():
         assert np.array_equal(warm.unit_std_std, cold.unit_std_std)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.1])
-def test_transient_fresh_draw_without_integer_seed(beta):
-    # None, a Generator or a SeedSequence draws anew on every call
-    cfg = FmcConfig(n=6, d=0.0, alpha=1.05, beta=beta)
-
-    def run(seed):
-        return transient_ensemble(cfg, n_samples=20, t_max=8,
-                                  rng_seed=seed).norm_std
-
-    assert not np.array_equal(run(None), run(None))
-    gen = np.random.default_rng(5)
-    assert not np.array_equal(run(gen), run(gen))
-    seq = np.random.SeedSequence(5)
-    assert np.array_equal(run(seq), run(5))
-    assert np.array_equal(run(np.random.default_rng(5)), run(5))
+@pytest.mark.parametrize("seed", [
+    -1, 2.0, None, np.random.SeedSequence(5), np.random.default_rng(5)],
+    ids=["negative", "float", "none", "seed_sequence", "generator"])
+def test_transient_seed_must_be_nonnegative_integer(seed):
+    # only an integer >= 0 is a seed: the cache keys its draw by it
+    cfg = FmcConfig(n=6, d=0.0, alpha=1.05, beta=0.1)
+    with pytest.raises(ValueError, match="rng_seed"):
+        transient_ensemble(cfg, n_samples=20, t_max=8, rng_seed=seed)

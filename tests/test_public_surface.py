@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import code_lines
 import schurrnn
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(schurrnn.__path__))
@@ -52,3 +53,25 @@ def test_import_loads_only_what_it_names(statement, loaded):
         env={**os.environ, "PYTHONPATH": path}, check=True,
         capture_output=True, text=True).stdout
     assert out.strip() == str(loaded)
+
+
+def test_code_lines_counts_code_only():
+    """The code-line count skips blank lines, comments and docstrings, and
+    counts each line of a multi-line statement and of a string that is
+    not a docstring."""
+    source = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment
+
+
+def f(a,
+      b):
+    """One-line docstring."""
+    # a comment line
+    text = """not a
+docstring"""
+    return (a +
+            b)
+'''
+    assert code_lines.code_lines(source) == 7

@@ -9,7 +9,6 @@ from schurrnn.tasks import (
     MARKER,
     CharLmSpec,
     CopyTaskSpec,
-    build_vocabulary,
     char_lm_stream,
     copy_baseline_loss,
     copy_batch,
@@ -21,7 +20,7 @@ CORPUS = "src/schurrnn/data/corpus.txt"
 
 def test_copy_layout():
     spec = CopyTaskSpec(delay=7, batch_size=3, seed=0)
-    b = copy_batch(spec)
+    b = copy_batch(spec, np.random.default_rng(0))
     t_len = 7 + 20
     assert b.inputs.shape == (3, t_len)
     ids = b.inputs
@@ -40,8 +39,8 @@ def test_copy_layout():
 
 def test_copy_determinism_and_stream_freshness():
     spec = CopyTaskSpec(delay=5, batch_size=4, seed=3)
-    a = copy_batch(spec)
-    b = copy_batch(spec)
+    # two streams of one spec draw the same batches
+    a, b = next(copy_stream(spec)), next(copy_stream(spec))
     assert np.array_equal(a.inputs, b.inputs)
     it = copy_stream(spec)
     first, second = next(it), next(it)
@@ -63,7 +62,7 @@ def test_blank_then_uniform_predictor_achieves_baseline():
     10 ln(8) / (T+20) on any batch."""
     delay = 12
     spec = CopyTaskSpec(delay=delay, batch_size=16, seed=5)
-    batch = copy_batch(spec)
+    batch = copy_batch(spec, np.random.default_rng(5))
     t_len = delay + 20
     logits = np.zeros((16, t_len, COPY_D_OUT))
     logits[:, : delay + 10, BLANK] = 60.0   # certain blank
@@ -76,7 +75,7 @@ def test_blank_then_uniform_predictor_achieves_baseline():
 
 def test_copy_symbols_uniform_chi_square():
     spec = CopyTaskSpec(delay=1, batch_size=10000, seed=7)
-    b = copy_batch(spec)
+    b = copy_batch(spec, np.random.default_rng(7))
     data = b.inputs[:, :10].ravel()  # 1e5 draws
     counts = np.bincount(data, minlength=8)
     expected = data.size / 8
@@ -86,10 +85,13 @@ def test_copy_symbols_uniform_chi_square():
 
 
 def test_vocabulary_and_spec_validation(tmp_path):
-    vocab, alphabet = build_vocabulary(b"abcab")
-    assert vocab == {ord("a"): 0, ord("b"): 1, ord("c"): 2}
-    with pytest.raises(ValueError):
-        build_vocabulary(b"")
+    # the sorted distinct bytes, and each byte's index among them
+    small = tmp_path / "small.txt"
+    small.write_bytes(b"cabcab")
+    spec = CharLmSpec(str(small), window=2, batch_size=1)
+    assert spec.alphabet.tolist() == [ord("a"), ord("b"), ord("c")]
+    assert spec.ids.tolist() == [2, 0, 1, 2, 0, 1]
+    assert spec.vocab_size == 3
     short = tmp_path / "short.txt"
     short.write_text("ab")
     with pytest.raises(ValueError):
