@@ -283,7 +283,7 @@ def cmd_fmc(config_path, out_dir):
     summary = []
     failure = None
     for i, cfg in enumerate(configs):
-        row = [i, cfg.n, cfg.d, cfg.alpha, cfg.beta]
+        row = [i, *dataclasses.astuple(cfg)]
         try:
             with _named(f"sweep[{i}]"):
                 res = memory.fisher_memory_curve(cfg)
@@ -295,7 +295,8 @@ def cmd_fmc(config_path, out_dir):
                                                enumerate(res.j_curve))
         summary.append(row + [res.j_tot, "ok"])
     files["fmc_summary.csv"] = _csv_text(
-        ["row", "n", "d", "alpha", "beta", "j_tot", "status"], summary)
+        ["row", *(f.name for f in dataclasses.fields(memory.FmcConfig)),
+         "j_tot", "status"], summary)
     _write(out_dir, files)
     # The good rows are written; the first diverged row names the failure.
     if failure:

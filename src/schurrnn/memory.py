@@ -11,11 +11,16 @@ steps earlier under i.i.d. Gaussian noise of variance eps:
     J(k) = u^T (Theta^k)^T C^{-1} Theta^k u,
     C    = eps * sum_k Theta^k (Theta^k)^T,   u = e_1.
 
-C is never formed or inverted explicitly.  Its triangular factor comes
-from the square-root form of Smith's doubling for the Stein equation
-C = Theta C Theta^T + eps I (Smith 1968; Hammarling 1982): one 2n x n QR
-per doubling of the number of summed terms.  The QR's stack interleaves
-the rows of the two triangles it holds, so that for a lower
+When Theta is a scaled shift alpha * S, S the down-shift (the family's
+d = beta = 0 rows), C is diagonal and Theta^k e_1 = alpha^k e_{k+1}, so
+J(k) is the delay line's closed form in alpha^2 for k < n and 0 from
+k = n on (Ganguli, Huh and Sompolinsky 2008); nothing is factored.
+
+Otherwise C is never formed or inverted explicitly.  Its triangular
+factor comes from the square-root form of Smith's doubling for the Stein
+equation C = Theta C Theta^T + eps I (Smith 1968; Hammarling 1982): one
+2n x n QR per doubling of the number of summed terms.  The QR's stack
+interleaves the rows of the two triangles it holds, so that for a lower
 (quasi-)triangular Theta, the family and the Schur form among them, it is
 a staircase whose zeros LAPACK's Householder QR skips.  Working with the
 factor keeps the solves usable even when C itself is catastrophically
@@ -133,6 +138,12 @@ def _checked_theta(theta):
     return theta
 
 
+def _is_scaled_shift(theta):
+    """Whether ``theta`` equals alpha * S, S the down-shift and alpha its
+    entry [1, 0], zero or negative included (one O(n^2) comparison)."""
+    return np.array_equal(theta, theta[1, 0] * np.eye(len(theta), k=-1))
+
+
 def _covariance_factor(theta):
     """Upper-triangular R with sum_{k<K} Theta^k (Theta^k)^T = R^T R, the
     number of terms K, and the (K, n) array whose row k is Theta^k e_1,
@@ -154,10 +165,7 @@ def _covariance_factor(theta):
     in about its first 2j + 2 rows, and LAPACK's Householder QR trims each
     reflector to the rows above the column's trailing zeros, about j + 2
     of them in place of n + 1.  A dense Theta costs what the stacked
-    halves [R; R A] cost.  One case pays more: for a scaled shift
-    (d = beta = 0), R is diagonal, and the halves left the reflectors of
-    the zero leading columns of R A empty, where this order has R's rows
-    to move.
+    halves [R; R A] cost.
 
     Raises :class:`DivergenceError` if the tail is still growing when K
     passes TERMS_PER_UNIT * n, or overflows.
@@ -200,13 +208,29 @@ def fmc_from_theta(theta, eps=1.0, k_max=0):
     Theta that is not a finite square matrix of order n >= 2, an ``eps``
     that is not a finite number > 0 or a ``k_max`` that is not an integer
     >= 0, and :class:`DivergenceError` for a covariance series that does
-    not converge."""
+    not converge.
+
+    When Theta is a scaled shift alpha * S (see the module docstring),
+    the curve is :func:`delay_line_fmc_closed_form` of alpha^2 over eps
+    for k < n and exactly 0 from k = n on, with the length the factor
+    path gives it (n + 1 points for ``k_max = 0``), and
+    ``truncation_terms`` is the smallest power of two >= n, where that
+    path's doubling stops.  Any alpha takes this path: alpha = 0 gives
+    J(0) = 1/eps and 0 after, and an alpha whose square overflows gives
+    J(k) = 1/eps for k < n, where the factor's powers would overflow."""
     theta = _checked_theta(theta)
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be a finite number > 0, not {eps!r}")
     if not isinstance(k_max, numbers.Integral) or k_max < 0:
         raise ValueError(f"k_max must be an integer >= 0, not {k_max!r}")
     n = theta.shape[0]
+    if _is_scaled_shift(theta):
+        alpha = float(theta[1, 0])
+        curve = np.zeros(k_max + 1 if k_max else n + 1)
+        k = np.arange(min(n, len(curve)))
+        curve[: len(k)] = delay_line_fmc_closed_form(alpha * alpha, k) / eps
+        return FmcResult(j_curve=curve, j_tot=float(curve.sum()),
+                         truncation_terms=1 << (n - 1).bit_length())
     r, terms, cols = _covariance_factor(theta)
 
     limit = k_max if k_max else TERMS_PER_UNIT * n
@@ -246,18 +270,29 @@ def fisher_memory_curve(cfg):
 
 
 def delay_line_fmc_closed_form(alpha, k):
-    """J(k) = alpha^k (alpha - 1) / (alpha^{k+1} - 1); the alpha = 1 limit
-    is 1 / (k + 1).  For alpha > 1 it is computed as
-    (1 - 1/alpha) / (1 - alpha^-(k+1)), which cannot overflow."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if k < 0:
+    """J(k) = alpha^k (alpha - 1) / (alpha^{k+1} - 1) for an integer k >= 0
+    or an array of them; the alpha = 1 limit is 1 / (k + 1), and alpha = 0
+    gives 1 at k = 0 and 0 after.
+
+    With L = log(alpha), alpha^m - 1 is expm1(m L), which keeps its digits
+    where alpha^m is close to 1; subtracting 1 from alpha^m loses a
+    relative 1e-16 / |alpha - 1| (5e-9 at alpha = 1 + 1e-9).  For
+    alpha > 1 it is computed as expm1(-L) / expm1(-(k+1) L), the form
+    divided through by alpha^{k+1}, which cannot overflow, so an infinite
+    alpha gives 1."""
+    alpha = float(alpha)
+    k = np.asarray(k)
+    if not alpha >= 0:
+        raise ValueError("alpha must be >= 0")
+    if np.any(k < 0):
         raise ValueError("k must be >= 0")
-    if abs(alpha - 1.0) < 1e-13:
+    if alpha == 1.0:
         return 1.0 / (k + 1)
+    with np.errstate(divide="ignore"):   # L = -inf for alpha = 0
+        log_alpha = np.log1p(alpha - 1.0)
     if alpha > 1.0:
-        return (1.0 - 1.0 / alpha) / (1.0 - alpha ** -(k + 1))
-    return alpha**k * (alpha - 1.0) / (alpha ** (k + 1) - 1.0)
+        return np.expm1(-log_alpha) / np.expm1(-(k + 1.0) * log_alpha)
+    return alpha**k * (alpha - 1.0) / np.expm1((k + 1.0) * log_alpha)
 
 
 @dataclass
@@ -299,9 +334,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
 
     res = fmc_from_theta(theta, eps=eps, k_max=n - 1)
     j = res.j_curve[:n]
-    bound = np.array(
-        [delay_line_fmc_closed_form(alpha, k) for k in range(n)]
-    ) / (eps * sigma_max ** (2 * (n - 1)))
+    bound = delay_line_fmc_closed_form(alpha, np.arange(n)) / (
+        eps * sigma_max ** (2 * (n - 1)))
     margin = j - bound
     return Prop1Report(
         n=n, alpha=alpha, sigma_max=sigma_max,
@@ -471,7 +505,7 @@ def ensemble_from_theta(theta, n_samples=1000, t_max=None, rng_seed=0):
     x = _starting_states(rng_seed, n_samples, n)
     with _sized_by(f"t_max = {t_max}"):
         summaries = np.zeros((4, t_max + 1))
-    if np.array_equal(theta, theta[1, 0] * np.eye(n, k=-1)):
+    if _is_scaled_shift(theta):
         _shift_chain_stats(x, theta[1, 0], summaries)
         return _ensemble(summaries)
     # The rows before r need only the columns before end[r]: one past the

@@ -398,13 +398,22 @@ def test_bad_task_kind_exit_1(tmp_path):
     assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
 
+def read_summary(out):
+    """The rows of ``fmc_summary.csv`` as dicts keyed by its header."""
+    with open(out / "fmc_summary.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_fmc_bundled_sweep(tmp_path):
     out = tmp_path / "fmc"
     assert cli.main(["fmc", "--config", SWEEP, "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "fmc_summary.csv").open()))
-    assert rows[0] == ["row", "n", "d", "alpha", "beta", "j_tot", "status"]
-    assert len(rows) == 13
-    assert all(r[6] == "ok" for r in rows[1:])
+    with open(out / "fmc_summary.csv") as fh:
+        assert next(csv.reader(fh)) == [
+            "row", "n", "d", "alpha", "beta", "eps", "k_max", "j_tot",
+            "status"]
+    rows = read_summary(out)
+    assert len(rows) == 12
+    assert all(r["status"] == "ok" for r in rows)
     # per-row curve files
     assert sorted(os.listdir(out)) == sorted(
         ["fmc_summary.csv"] + [f"fmc_{i:02d}.csv" for i in range(12)])
@@ -414,13 +423,13 @@ def test_fmc_diverged_row_exit_2_keeps_good_rows(tmp_path, capsys):
     path = write_json(tmp_path / "sweep.json", {"sweep": [
         {"n": 4, "alpha": 1.0},
         {"n": 2, "d": 0.99, "alpha": 1e6},
-        {"n": 10, "alpha": 1e300},
+        {"n": 10, "d": 0.5, "alpha": 1e300},
     ]})
     out = tmp_path / "out"
     assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 2
-    rows = list(csv.reader((out / "fmc_summary.csv").open()))
-    assert [r[6] for r in rows[1:]] == ["ok", "diverged", "diverged"]
-    assert rows[2][5] == rows[3][5] == ""
+    rows = read_summary(out)
+    assert [r["status"] for r in rows] == ["ok", "diverged", "diverged"]
+    assert rows[1]["j_tot"] == rows[2]["j_tot"] == ""
     assert sorted(os.listdir(out)) == ["fmc_00.csv", "fmc_summary.csv"]
     # one line, naming the first diverged row
     err = capsys.readouterr().err.splitlines()
@@ -428,12 +437,33 @@ def test_fmc_diverged_row_exit_2_keeps_good_rows(tmp_path, capsys):
     assert err[0].startswith("numerical failure: sweep[1]: ")
 
 
+def test_fmc_huge_alpha_shift_is_exact(tmp_path):
+    # a scaled shift takes the closed form, whose J(k) = 1 for k < n is
+    # exact even where alpha^2 overflows
+    path = write_json(tmp_path / "sweep.json", {"sweep": [
+        {"n": 10, "alpha": 1e300}]})
+    out = tmp_path / "out"
+    assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 0
+    (row,) = read_summary(out)
+    assert row["status"] == "ok" and row["j_tot"] == "10.0"
+
+
+def test_fmc_summary_tells_eps_and_k_max_apart(tmp_path):
+    sweep = [{"n": 6, "alpha": 0.9}, {"n": 6, "alpha": 0.9, "eps": 4.0},
+             {"n": 6, "alpha": 0.9, "k_max": 3}]
+    path = write_json(tmp_path / "sweep.json", {"sweep": sweep})
+    out = tmp_path / "out"
+    assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 0
+    rows = read_summary(out)
+    assert [(r["eps"], r["k_max"]) for r in rows] == [
+        ("1.0", "0"), ("4.0", "0"), ("1.0", "3")]
+
+
 def test_fmc_empty_sweep(tmp_path):
     path = write_json(tmp_path / "empty.json", {"sweep": []})
     out = tmp_path / "out"
     assert cli.main(["fmc", "--config", path, "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "fmc_summary.csv").open()))
-    assert len(rows) == 1
+    assert read_summary(out) == []
 
 
 def test_props_default_grid(tmp_path):
@@ -456,10 +486,15 @@ def test_props_default_grid(tmp_path):
 
 
 def test_props_failed_bound_writes_its_report_exit_2(tmp_path, monkeypatch):
-    # a doubled closed form puts the bound above every delay line's curve
-    closed_form = memory.delay_line_fmc_closed_form
-    monkeypatch.setattr(memory, "delay_line_fmc_closed_form",
-                        lambda alpha, k: 2.0 * closed_form(alpha, k))
+    # a halved curve falls below the bound, which the delay line attains
+    fmc_from_theta = memory.fmc_from_theta
+
+    def halved(*args, **kwargs):
+        res = fmc_from_theta(*args, **kwargs)
+        res.j_curve /= 2.0
+        return res
+
+    monkeypatch.setattr(memory, "fmc_from_theta", halved)
     path = write_json(tmp_path / "props.json", {
         "prop2": [{"n": 3, "t_max": 4}],
         "prop1": [{"n": 6, "alpha": 1.0}, {"n": 4, "alpha": 0.9}]})
@@ -534,15 +569,17 @@ def test_csv_floats_round_trip(tmp_path):
     out = tmp_path / "fmc"
     config = write_json(tmp_path / "sweep.json", {"sweep": sweep})
     assert cli.main(["fmc", "--config", config, "--out", str(out)]) == 0
-    summary = list(csv.reader((out / "fmc_summary.csv").open()))[1:]
+    summary = read_summary(out)
     for i, row in enumerate(sweep):
         cfg = memory.FmcConfig(**row)
         res = memory.fisher_memory_curve(cfg)
         rows = list(csv.reader((out / f"fmc_{i:02d}.csv").open()))[1:]
         assert [r[0] for r in rows] == [str(k) for k in range(len(rows))]
         assert_cells_are_floats([r[1] for r in rows], res.j_curve)
-        assert_cells_are_floats(summary[i][2:6],
-                                [cfg.d, cfg.alpha, cfg.beta, res.j_tot])
+        keys = ["d", "alpha", "beta", "eps", "j_tot"]
+        assert_cells_are_floats([summary[i][key] for key in keys],
+                                [cfg.d, cfg.alpha, cfg.beta, cfg.eps,
+                                 res.j_tot])
 
     doc = {"configs": [{"n": 10, "alpha": 1.05, "beta": 0.1}],
            "n_samples": 50, "t_max": 12, "seed": 3}

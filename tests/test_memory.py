@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -277,14 +278,23 @@ def fmc_solving_every_column(theta, eps=1.0, k_max=0):
     return curve[: n + small[0] + 1]
 
 
+def row_id(row):
+    return f"a{row['alpha']}-b{row['beta']}-d{row['d']}"
+
+
+# The d = beta = 0 rows are scaled shifts, whose curve is the closed form.
+SHIFT_ROWS = [r for r in TABLE_ROWS if r["d"] == r["beta"] == 0.0]
+FACTOR_ROWS = [r for r in TABLE_ROWS if r not in SHIFT_ROWS]
+
+
 @pytest.mark.parametrize(
-    "row", TABLE_ROWS + [dict(n=100, d=0.2, alpha=1.05, beta=0.005, k_max=200)],
-    ids=[f"a{r['alpha']}-b{r['beta']}-d{r['d']}" for r in TABLE_ROWS]
-    + ["k_max200"])
+    "row",
+    FACTOR_ROWS + [dict(n=100, d=0.2, alpha=1.05, beta=0.005, k_max=200)],
+    ids=[row_id(r) for r in FACTOR_ROWS] + ["k_max200"])
 def test_table_solve_stops_where_the_curve_ends(monkeypatch, row):
     # Solving only up to the first negligible column gives the curve of
     # solving every factor column, bit for bit, from fewer columns than
-    # the factor has.
+    # the factor has.  (The shift rows reach no solve.)
     theta = build_theta_family(FmcConfig(**row))
     ref = fmc_solving_every_column(theta, k_max=row.get("k_max", 0))
     solved = []
@@ -300,6 +310,99 @@ def test_table_solve_stops_where_the_curve_ends(monkeypatch, row):
     assert np.array_equal(res.j_curve, ref)
     (columns,) = solved
     assert len(ref) <= columns < res.truncation_terms
+
+
+@pytest.mark.parametrize("row", SHIFT_ROWS, ids=map(row_id, SHIFT_ROWS))
+def test_shift_rows_skip_the_factor(monkeypatch, row):
+    def refused(*args, **kwargs):
+        raise AssertionError("a shift row reached the factor")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    res = fisher_memory_curve(FmcConfig(**row))
+    assert len(res.j_curve) == 101 and res.truncation_terms == 128
+
+
+@pytest.mark.parametrize("a", [0.95, 1.0, 1.05])
+def test_factor_path_on_the_delay_line(a):
+    # Every scaled shift takes the closed form, so criterion 1 and
+    # test_delay_line_fmc_matches_closed_form do not reach the factor.
+    # This checks the factor on the delay line at criterion 1's gate, and
+    # against the closed-form path on the table's shift row.
+    curve = fmc_solving_every_column(delay_line_theta(100, a))
+    k = np.arange(100)
+    np.testing.assert_allclose(curve[:100], delay_line_fmc_closed_form(a, k),
+                               rtol=1e-8, atol=0)
+    theta = build_theta_family(FmcConfig(n=100, alpha=a))
+    curve = fmc_solving_every_column(theta)
+    res = fmc_from_theta(theta)
+    assert len(res.j_curve) == len(curve)
+    np.testing.assert_allclose(res.j_curve, curve, rtol=1e-13, atol=0)
+
+
+def exact_delay_line_curve(a, n):
+    """a^k / sum_{j<=k} a^j for k < n, in exact rationals."""
+    power, total, out = Fraction(1), Fraction(1), []
+    for _ in range(n):
+        out.append(power / total)
+        power *= a
+        total += power
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.95, 1.0, 1.05])
+def test_shift_row_per_lag_error_against_exact(alpha):
+    # Every J(k), k < n, of a d = beta = 0 table row against the exact
+    # curve of a = alpha^2, built from the float alpha; the worst measured
+    # error is 5.3e-15.
+    res = fisher_memory_curve(FmcConfig(n=100, alpha=alpha))
+    exact = exact_delay_line_curve(Fraction(alpha) ** 2, 100)
+    for k, j in enumerate(exact):
+        assert abs(Fraction(res.j_curve[k]) - j) <= Fraction(1e-14) * j, k
+    assert res.j_curve[100] == 0.0
+
+
+def scaled_shift(n, alpha):
+    return alpha * np.eye(n, k=-1)
+
+
+def with_entry(theta, i, j, value):
+    theta = theta.copy()
+    theta[i, j] = value
+    return theta
+
+
+@pytest.mark.parametrize("theta,fires", [
+    (scaled_shift(6, 0.9), True),
+    (scaled_shift(6, 0.0), True),
+    (scaled_shift(6, -1.3), True),
+    (scaled_shift(6, -0.0), True),
+    (np.eye(6, k=1), False),
+    (with_entry(scaled_shift(6, 0.9), 3, 2, 0.8), False),
+    (with_entry(scaled_shift(6, 0.9), 4, 1, 1e-300), False),
+    (with_entry(scaled_shift(6, 0.9), 2, 2, 0.1), False),
+], ids=["positive", "zero", "negative", "negative_zero", "upper_shift",
+        "subdiagonal_not_constant", "extra_entry", "extra_diagonal"])
+def test_scaled_shift_dispatch(theta, fires):
+    assert memory._is_scaled_shift(theta) is fires
+
+
+@pytest.mark.parametrize("k_max", [0, 3, 8, 20])
+def test_shift_closed_form_edges(k_max):
+    # alpha = 0 and negative alpha through alpha^2; an alpha whose square
+    # overflows (the factor's powers overflow there) gives J(k) = 1
+    n, eps = 8, 0.5
+    length = k_max + 1 if k_max else n + 1
+    live = min(n, length)
+    res = fmc_from_theta(scaled_shift(n, 0.0), eps=eps, k_max=k_max)
+    assert res.j_curve.tolist() == [1 / eps] + [0.0] * (length - 1)
+    assert res.truncation_terms == 8
+    neg = fmc_from_theta(scaled_shift(n, -0.7), eps=eps, k_max=k_max)
+    pos = fmc_from_theta(scaled_shift(n, 0.7), eps=eps, k_max=k_max)
+    assert np.array_equal(neg.j_curve, pos.j_curve)
+    res = fmc_from_theta(scaled_shift(n, 1e300), k_max=k_max)
+    assert res.j_curve.tolist() == [1.0] * live + [0.0] * (length - live)
+    assert res.j_tot == live
 
 
 def test_fmc_divergence():
@@ -399,6 +502,24 @@ def test_delay_line_closed_form_values():
         delay_line_fmc_closed_form(-1.0, 2)
     with pytest.raises(ValueError):
         delay_line_fmc_closed_form(1.0, -1)
+
+
+@pytest.mark.parametrize("alpha", [
+    0.3, 0.9025, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 1.1025,
+    10.0])
+def test_delay_line_closed_form_array_against_exact(alpha):
+    # The whole curve in one call, each J(k) within a few rounding errors
+    # of the exact value, also where alpha^k is close to 1 (the direct
+    # difference alpha^{k+1} - 1 lost 5e-9 at alpha = 1 +- 1e-9)
+    got = delay_line_fmc_closed_form(alpha, np.arange(100))
+    for k, j in enumerate(exact_delay_line_curve(Fraction(alpha), 100)):
+        assert abs(Fraction(got[k]) - j) <= Fraction(1e-15) * j, k
+
+
+def test_delay_line_closed_form_limits():
+    k = np.arange(5)
+    assert delay_line_fmc_closed_form(0.0, k).tolist() == [1.0, 0, 0, 0, 0]
+    assert delay_line_fmc_closed_form(np.inf, k).tolist() == [1.0] * 5
 
 
 def test_delay_line_closed_form_overflow_free():
