@@ -74,7 +74,7 @@ def connectivity_report(p):
         regime=regime,
         top_singular_value=float(np.linalg.norm(v, 2)),
         spectral_radius=float(np.max(p.gamma)),
-        growth=iterate_growth_probe(theta).label,
+        growth=iterate_growth_probe(theta),
         gamma_histogram=gamma_hist,
         gamma_bin_edges=gamma_edges,
         theta_histogram=theta_hist,

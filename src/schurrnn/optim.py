@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
         if self.gamma_mode == "clamped" and self.gamma_clamp <= 0:
             raise ValueError("gamma_clamp must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.max_updates < 0 or self.log_every < 0:
             raise ValueError("max_updates and log_every must be >= 0")
 

@@ -24,7 +24,6 @@ __all__ = [
     "verify_prop2",
     "Prop2Report",
     "iterate_growth_probe",
-    "GrowthProbe",
 ]
 
 # iterate_growth_probe: the largest |log sigma| of a constant trace, and
@@ -149,14 +148,6 @@ def verify_prop2(n, t_max):
     )
 
 
-@dataclass
-class GrowthProbe:
-    label: str              # "exponential" | "nilpotent" (a power overflows
-                            # or is zero), else "exponential" | "decaying"
-                            # (from rho), else "constant" | "polynomial"
-    spectral_radius: float  # NaN for a non-finite matrix
-
-
 def _spectral_radius(m):
     """Largest eigenvalue modulus of the square float array ``m``, by
     ``np.linalg.eigvals``.
@@ -179,7 +170,8 @@ def _spectral_radius(m):
 
 
 def iterate_growth_probe(m, t_max=100):
-    """Label the growth of the powers m^t, t = 1 ... ``t_max``.
+    """Label the growth of the powers m^t, t = 1 ... ``t_max``: one of
+    "exponential", "nilpotent", "decaying", "constant" or "polynomial".
 
     Exact events come first, at the first t either happens: a power that
     overflows or is not finite makes the label "exponential", and one that
@@ -201,15 +193,13 @@ def iterate_growth_probe(m, t_max=100):
     for _ in range(t_max):
         power = power @ m
         if not np.all(np.isfinite(power)) or np.abs(power).max() > 1e150:
-            return GrowthProbe("exponential", rho)
+            return "exponential"
         if not power.any():
-            return GrowthProbe("nilpotent", rho)
+            return "nilpotent"
         constant = (constant
                     and abs(np.log(np.linalg.norm(power, 2))) <= CONST_TOL)
     if rho > 1.0 + RHO_TOL:
-        label = "exponential"
-    elif rho < 1.0 - RHO_TOL:
-        label = "decaying"
-    else:
-        label = "constant" if constant else "polynomial"
-    return GrowthProbe(label, rho)
+        return "exponential"
+    if rho < 1.0 - RHO_TOL:
+        return "decaying"
+    return "constant" if constant else "polynomial"

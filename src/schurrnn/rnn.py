@@ -129,7 +129,6 @@ class ModelGrads:
     b_hidden: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
-    v: np.ndarray
     schur: SchurParamGrads
 
 
@@ -246,15 +245,13 @@ def forward(model, batch, out=None):
     )
 
 
-def bptt(model, batch, fwd=None):
-    """Exact reverse-mode gradients for all model parameters.
+def bptt(model, batch, fwd):
+    """Exact reverse-mode gradients for all model parameters, from ``fwd``,
+    the result of :func:`forward` on the same model and batch.
 
     The gradient on V is mapped back through the Schur parametrization.
     The modReLU subgradient at the kink takes the zero branch.
     """
-    if fwd is None:
-        fwd = forward(model, batch)
-
     # Cross-entropy gradient at the logits, in the head's class-major
     # (d_out, T*B) layout.
     tgt = batch.targets.T.ravel()
@@ -277,6 +274,5 @@ def bptt(model, batch, fwd=None):
         b_hidden=dbias,
         w_out=dw_out,
         b_out=db_out,
-        v=dv,
         schur=schur_mod.backward_v(model.schur, dv, fwd.schur_cache),
     )

@@ -249,9 +249,9 @@ def init_params(n, scheme="henaff", rng_seed=0):
     """Initial parameters: gamma = 1, theta ~ U[0, 2pi), T = 0, and a
     scheme-dependent skew generator for P.
 
-    Schemes: "henaff" (2x2 skew blocks with U[-pi, pi] entries), "cayley"
-    (2x2 skew blocks with the heavy-tailed sqrt(u/(1-u)) law, capped at pi),
-    "random_orth" (skew part of a Gaussian matrix scaled by 1/sqrt(n)).
+    Schemes: "henaff" (2x2 skew blocks with U[-pi, pi] entries) and
+    "cayley" (2x2 skew blocks with the heavy-tailed sqrt(u/(1-u)) law,
+    capped at pi).
     """
     if n < 2 or n % 2:
         raise ValueError("hidden size must be even and >= 2")
@@ -259,20 +259,17 @@ def init_params(n, scheme="henaff", rng_seed=0):
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n // 2)
 
     scheme = scheme.lower()
-    if scheme == "random_orth":
-        b = np.tril(rng.normal(size=(n, n)) / np.sqrt(n), -1)
+    if scheme == "henaff":
+        s = rng.uniform(-np.pi, np.pi, size=n // 2)
+    elif scheme == "cayley":
+        u = rng.uniform(0.0, 0.5, size=n // 2)
+        v = rng.uniform(-1.0, 1.0, size=n // 2)
+        s = np.clip(np.sqrt(u / (1.0 - u)) * np.sign(v), -np.pi, np.pi)
     else:
-        if scheme == "henaff":
-            s = rng.uniform(-np.pi, np.pi, size=n // 2)
-        elif scheme == "cayley":
-            u = rng.uniform(0.0, 0.5, size=n // 2)
-            v = rng.uniform(-1.0, 1.0, size=n // 2)
-            s = np.clip(np.sqrt(u / (1.0 - u)) * np.sign(v), -np.pi, np.pi)
-        else:
-            raise ValueError(f"unknown init scheme {scheme!r}")
-        b = np.zeros((n, n))
-        odd = np.arange(1, n, 2)
-        b[odd, odd - 1] = s
+        raise ValueError(f"unknown init scheme {scheme!r}")
+    b = np.zeros((n, n))
+    odd = np.arange(1, n, 2)
+    b[odd, odd - 1] = s
     b = _skew_from_lower(b)
 
     return SchurParams(

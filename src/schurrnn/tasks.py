@@ -5,9 +5,10 @@ as inputs.
 Copy task layout (delay T, total length T + 20): 10 random data symbols
 (ids 0..7), T - 1 blanks (id 8), one marker (id 9), then 10 blanks.
 Targets are blank for the first T + 10 steps and the data symbols for the
-last 10.  The whole sequence is scored, so the predictor that always says
-"blank" achieves exactly 10 ln(8) / (T + 20) mean cross entropy, which is
-the natural baseline for the task.
+last 10.  The whole sequence is scored, so the predictor that says "blank"
+for the first T + 10 steps and is uniform over the 8 data symbols after
+achieves exactly 10 ln(8) / (T + 20) mean cross entropy, which is the
+natural baseline for the task.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,6 @@ __all__ = [
     "CopyTaskSpec",
     "copy_batch",
     "copy_stream",
-    "copy_baseline_loss",
     "CharLmSpec",
     "char_lm_stream",
     "COPY_N_SYMBOLS",
@@ -74,13 +74,6 @@ def copy_stream(spec):
     rng = np.random.default_rng(spec.seed)
     while True:
         yield copy_batch(spec, rng)
-
-
-def copy_baseline_loss(delay):
-    """Mean loss of the constant-blank predictor: 10 ln(8) / (T + 20)."""
-    if delay < 1:
-        raise ValueError("delay must be >= 1")
-    return COPY_N_DATA * np.log(COPY_N_SYMBOLS) / (delay + 2 * COPY_N_DATA)
 
 
 # --- character-level prediction ----------------------------------------------

@@ -19,15 +19,23 @@ alpha = 1.05 rows), which float64 cannot resolve.  Matrix entries given
 as floats are converted exactly, so the oracle evaluates the very matrix
 that the float64 code builds.
 
+The same Cholesky factor L gives each point of the curve exactly:
+J(k) = |L^{-1} Theta^k u|^2, one forward substitution per k.
+
 The module uses only mpmath and the standard library.  Its name does not
 match ``test_*.py``, so pytest does not collect it.  Run it as a script to
-print the criterion-2 constants of the (d, alpha, beta) family at n = 100:
+print the criterion-2 constants of the (d, alpha, beta) family at n = 100,
+or with ``--curves`` to write the exact curves that ``tests/test_memory.py``
+checks every J(k) against (``tests/fmc_exact_curves.json``, the rows of
+the bundled sweep that are not scaled shifts):
 
-    python tests/jtot_oracle.py [--dps 40]
+    python tests/jtot_oracle.py [--dps 40] [--curves]
 """
 
 import argparse
+import json
 import time
+from pathlib import Path
 
 import mpmath
 from mpmath import fdot, mpf
@@ -75,15 +83,23 @@ def stein_lower(th, q):
     return x
 
 
-def trace_solve(c, w):
-    """tr(C^{-1} W) for symmetric positive definite C: with C = L L^T and
-    v_k the k-th row of L^{-1}, the trace is sum_k v_k^T W v_k."""
+def cholesky(c):
+    """Rows, up to the diagonal, of the lower-triangular L with C = L L^T,
+    for symmetric positive definite C."""
     n = len(c)
     low = [[mpf(0)] * (i + 1) for i in range(n)]
     for j in range(n):
         low[j][j] = mpmath.sqrt(c[j][j] - fdot(low[j][:j], low[j][:j]))
         for i in range(j + 1, n):
             low[i][j] = (c[i][j] - fdot(low[i][:j], low[j][:j])) / low[j][j]
+    return low
+
+
+def trace_solve(c, w):
+    """tr(C^{-1} W) for symmetric positive definite C: with C = L L^T and
+    v_k the k-th row of L^{-1}, the trace is sum_k v_k^T W v_k."""
+    n = len(c)
+    low = cholesky(c)
     inv = [[mpf(0)] * (i + 1) for i in range(n)]
     for k in range(n):
         inv[k][k] = 1 / low[k][k]
@@ -111,10 +127,60 @@ def family_j_tot(n, d, alpha, beta, dps=40):
     return j_tot(family_theta(n, d, alpha, beta), dps=dps)
 
 
+def j_curve(theta, dps=40, cutoff=1e-14):
+    """The Fisher memory curve J(k) = |L^{-1} Theta^k e_1|^2 of a
+    lower-triangular ``theta``, with L the Cholesky factor of C, up to and
+    including the first k >= n with J(k) < ``cutoff``: the end that
+    :func:`schurrnn.memory.fmc_from_theta` gives the curve with
+    ``k_max = 0``.  Each J(k) takes one forward substitution at ``dps``
+    digits."""
+    with mpmath.workdps(dps):
+        th = _lower_rows(theta)
+        n = len(th)
+        low = cholesky(stein_lower(th, lambda i, j: 1 if i == j else 0))
+        col = [mpf(1)] + [mpf(0)] * (n - 1)
+        curve = []
+        while True:
+            y = []
+            for i in range(n):
+                y.append((col[i] - fdot(low[i][:i], y)) / low[i][i])
+            curve.append(+fdot(y, y))
+            if len(curve) > n and curve[-1] < cutoff:
+                return curve
+            col = [fdot(th[i], col[: i + 1]) for i in range(n)]
+
+
+HERE = Path(__file__).resolve().parent
+SWEEP = HERE.parent / "src" / "schurrnn" / "data" / "fmc_sweep_sm.json"
+CURVES = HERE / "fmc_exact_curves.json"
+
+
+def write_curves(dps=40):
+    """Write the exact curve of every row of the bundled sweep that is not
+    a scaled shift (d = beta = 0 has a closed form) to ``CURVES``, as
+    JSON: each row's (n, d, alpha, beta) and its J(k), rounded to float."""
+    rows = []
+    for row in json.loads(SWEEP.read_text())["sweep"]:
+        if row["d"] == row["beta"] == 0:
+            continue
+        t0 = time.time()
+        curve = j_curve(family_theta(row["n"], row["d"], row["alpha"],
+                                     row["beta"]), dps=dps)
+        rows.append({**row, "j_curve": [float(j) for j in curve]})
+        print(f"{row}: {len(curve)} points ({time.time() - t0:.1f}s)",
+              flush=True)
+    CURVES.write_text(json.dumps({"dps": dps, "rows": rows}, indent=1) + "\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--dps", type=int, default=40)
+    ap.add_argument("--curves", action="store_true",
+                    help=f"write the exact curves to {CURVES.name} instead")
     args = ap.parse_args()
+    if args.curves:
+        write_curves(dps=args.dps)
+        return
     for d in (0.0, 0.2):
         for b in (0.0, 0.005):
             for a in (0.95, 1.0, 1.05):

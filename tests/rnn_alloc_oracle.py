@@ -85,5 +85,4 @@ def bptt(model, batch, fwd):
     dv, dbias, dpre = rnn_backward(fwd.v, h, gout)
     du_in = dpre.reshape(-1, n).T @ _rows(batch.inputs)
     return ModelGrads(u_in=du_in, b_hidden=dbias, w_out=dw_out, b_out=db_out,
-                      v=dv, schur=schur.backward_v(model.schur, dv,
-                                                   fwd.schur_cache))
+                      schur=schur.backward_v(model.schur, dv, fwd.schur_cache))

@@ -144,7 +144,7 @@ def test_criterion_5_gradient_correctness():
             inputs=rng.normal(size=(b, t_len, d_in)),
             targets=rng.integers(0, d_out, size=(b, t_len)),
         )
-        grads = rnn.bptt(model, batch)
+        grads = rnn.bptt(model, batch, rnn.forward(model, batch))
         p = model.schur
 
         def loss():
@@ -236,7 +236,7 @@ def test_criterion_7_spectrum_separation():
 
 def test_criterion_8_copy_task_learning():
     t0 = time.time()
-    target = 0.5 * tasks.copy_baseline_loss(50)
+    target = 0.5 * 10 * np.log(8) / 70
     passed = []
     details = []
     for seed in (0, 1, 2):
@@ -298,7 +298,7 @@ def test_criterion_10_growth_classification():
         cases.append((m, "polynomial"))
     wrong = []
     for i, (m, expected) in enumerate(cases):
-        got = propcheck.iterate_growth_probe(m, t_max=100).label
+        got = propcheck.iterate_growth_probe(m, t_max=100)
         if got != expected:
             wrong.append(f"case {i}: {got} != {expected}")
     report(10, not wrong,

@@ -33,6 +33,7 @@ NESTED = "[" * 100000 + "]" * 100000
 # The config keys an error line names, by case id: those that size an
 # array too large to build.
 NAMED_KEYS = {
+    "batch_size": ["train: batch_size"],
     **dict.fromkeys(["batch_size_huge", "delay_huge",
                      "batch_size_unallocatable", "delay_unallocatable"],
                     ["batch_size", "delay"]),

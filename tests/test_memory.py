@@ -362,6 +362,41 @@ def test_shift_row_per_lag_error_against_exact(alpha):
     assert res.j_curve[100] == 0.0
 
 
+# Every sweep row that reaches the factor, with its bound on the relative
+# error of a single J(k) against the 40-digit curve that
+# ``python tests/jtot_oracle.py --curves`` writes: about twice the worst
+# error measured at one BLAS thread and at two to four (they differ).
+# The d = 0 rows are nilpotent: J(100) is 0 in both.
+PER_LAG_BOUNDS = {          # (d, alpha, beta): bound; worst measured
+    (0.0, 0.95, 0.005): 1.4e-14,    # 6.9e-15
+    (0.0, 1.0, 0.005): 9e-15,       # 4.3e-15
+    (0.0, 1.05, 0.005): 7e-15,      # 3.4e-15
+    (0.2, 0.95, 0.0): 4e-10,        # 1.9e-10
+    (0.2, 1.0, 0.0): 1.6e-8,        # 7.8e-9
+    (0.2, 1.05, 0.0): 8e-7,         # 4.0e-7
+    (0.2, 0.95, 0.005): 3.5e-9,     # 1.8e-9
+    (0.2, 1.0, 0.005): 2e-7,        # 9.7e-8
+    (0.2, 1.05, 0.005): 1.8e-5,     # 8.8e-6, the erratum row
+}
+EXACT_CURVES = {
+    (r["d"], r["alpha"], r["beta"]): r["j_curve"]
+    for r in json.loads((Path(__file__).parent
+                         / "fmc_exact_curves.json").read_text())["rows"]}
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in TABLE_ROWS if not r["d"] == r["beta"] == 0.0],
+    ids=lambda r: f"d{r['d']}-a{r['alpha']}-b{r['beta']}")
+def test_factor_row_per_lag_error_against_exact(row):
+    key = row["d"], row["alpha"], row["beta"]
+    res = fisher_memory_curve(FmcConfig(**row))
+    exact = np.array(EXACT_CURVES[key])
+    assert len(res.j_curve) == len(exact)
+    err = np.abs(res.j_curve - exact)
+    assert np.all(err <= PER_LAG_BOUNDS[key] * exact), (
+        np.max(err[exact > 0] / exact[exact > 0]))
+
+
 def scaled_shift(n, alpha):
     return alpha * np.eye(n, k=-1)
 

@@ -9,6 +9,7 @@ from schurrnn.optim import (
 )
 from schurrnn.rnn import init_model
 from schurrnn.schur import assemble_v, backward_v, init_params, t_lower_mask
+from test_schur import dense_skew
 
 
 def test_rmsprop_hand_value():
@@ -33,7 +34,8 @@ def test_backward_v_b_skew_gradient_exactly_skew(n):
     """The pullback returns the generator's gradient as X - Xᵀ, exactly
     skew, which is what lets plain RMSprop step B."""
     rng = np.random.default_rng(n)
-    params = init_params(n, scheme="random_orth", rng_seed=n)
+    params = init_params(n, rng_seed=n)
+    params.b_skew = dense_skew(n, seed=n)
     params.t_lower = rng.normal(size=(n, n)) * t_lower_mask(n)
     _, cache = assemble_v(params)
     g = backward_v(params, rng.normal(size=(n, n)), cache).b_skew
@@ -60,8 +62,8 @@ def test_train_loop_keeps_b_skew_exactly_skew():
 
     n = 8
     spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
-    model = init_model(n, tasks.COPY_D_IN, tasks.COPY_D_OUT,
-                       scheme="random_orth", seed=0)
+    model = init_model(n, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
+    model.schur.b_skew = dense_skew(n, seed=0)
     b_start = model.schur.b_skew.copy()
     stream = Checked(tasks.copy_stream(spec), model.schur)
     train_loop(model, stream, TrainConfig(max_updates=500, log_every=0,
@@ -85,6 +87,8 @@ def test_train_config_validation():
             TrainConfig(gamma_mode=mode)
     with pytest.raises(ValueError):
         TrainConfig(gamma_mode="clamped", gamma_clamp=0.0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        TrainConfig(batch_size=0)
 
 
 def test_train_loop_smoke_and_loss_decrease():

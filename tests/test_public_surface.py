@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -31,6 +33,27 @@ def test_all_defines_its_own_names(name):
     assert [obj.__qualname__ for obj in objs
             if (inspect.isfunction(obj) or inspect.isclass(obj))
             and obj.__module__ != mod.__name__] == []
+
+
+def _identifiers(path):
+    """Every name and attribute name that the Python file ``path`` uses."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_have_a_caller_outside_the_tests(name):
+    """Every name a module exports in ``__all__`` is used by some library
+    module or by the benchmark harness (``perfbench/*.py`` other than its
+    tests), so the library holds no export that only the tests reach."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [*pathlib.Path(schurrnn.__file__).parent.glob("*.py"),
+             *(f for f in (root / "perfbench").glob("*.py")
+               if not f.name.startswith("test_"))]
+    used = set().union(*map(_identifiers, files))
+    mod = importlib.import_module(f"schurrnn.{name}")
+    assert [n for n in mod.__all__ if n not in used] == []
 
 
 @pytest.mark.parametrize("statement,loaded", [

@@ -151,7 +151,7 @@ def test_head_large_output_bias_stays_finite():
     fwd = forward(model, batch)
     grads = bptt(model, batch, fwd=fwd)
     assert np.isfinite(fwd.loss) and fwd.loss > 0.0
-    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+    for name in ("u_in", "b_hidden", "w_out", "b_out"):
         assert np.all(np.isfinite(getattr(grads, name))), name
     for name in ("gamma", "theta", "t_lower", "b_skew"):
         assert np.all(np.isfinite(getattr(grads.schur, name))), name
@@ -163,7 +163,7 @@ def test_bptt_leaves_forward_result_reusable():
     batch = random_batch(4, 6, 3, 5, seed=4)
     fwd = forward(model, batch)
     first, second = bptt(model, batch, fwd=fwd), bptt(model, batch, fwd=fwd)
-    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+    for name in ("u_in", "b_hidden", "w_out", "b_out"):
         assert np.array_equal(getattr(first, name), getattr(second, name)), name
     for name in ("gamma", "theta", "t_lower", "b_skew"):
         assert np.array_equal(getattr(first.schur, name),
@@ -176,7 +176,7 @@ def test_bptt_finite_differences():
     rng = np.random.default_rng(6)
     model.b_hidden = rng.normal(size=n) * 0.1
     batch = random_batch(b, t_len, d_in, d_out, seed=7)
-    grads = bptt(model, batch)
+    grads = bptt(model, batch, forward(model, batch))
     eps = 1e-6
 
     def loss():
@@ -355,7 +355,6 @@ def test_projections_match_einsum(b, t_len, n, d_in, d_out, carry, zero_bias):
     assert_rel_close(grads.b_hidden, dbias, "b_hidden")
     assert_rel_close(grads.w_out, dw_out, "w_out")
     assert_rel_close(grads.b_out, dlogits.sum(axis=(0, 1)), "b_out")
-    assert_rel_close(grads.v, dv, "v")
     for name in ("gamma", "theta", "t_lower", "b_skew"):
         assert_rel_close(getattr(grads.schur, name),
                          getattr(ref_schur, name), name)
@@ -403,7 +402,7 @@ def test_in_place_recurrence_matches_allocating_oracle_bitwise(
         assert np.array_equal(fwd.final_hidden, ref_fwd.final_hidden)
         assert np.array_equal(fwd.probs, ref_fwd.probs)
         assert fwd.loss == ref_fwd.loss
-        for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+        for name in ("u_in", "b_hidden", "w_out", "b_out"):
             assert np.array_equal(getattr(grads, name),
                                   getattr(ref, name)), name
         for name in ("gamma", "theta", "t_lower", "b_skew"):
@@ -480,7 +479,7 @@ def test_token_ids_match_one_hot_features_bitwise(b, t_len, n, d_in, d_out):
     assert np.array_equal(fwd.hidden, ref_fwd.hidden)
     assert np.array_equal(fwd.probs, ref_fwd.probs)
     assert fwd.loss == ref_fwd.loss
-    for name in ("u_in", "b_hidden", "w_out", "b_out", "v"):
+    for name in ("u_in", "b_hidden", "w_out", "b_out"):
         assert np.array_equal(getattr(grads, name), getattr(ref, name)), name
     for name in ("gamma", "theta", "t_lower", "b_skew"):
         assert np.array_equal(getattr(grads.schur, name),
@@ -499,8 +498,6 @@ def test_token_ids_out_of_range_raise(bad):
     )
     with pytest.raises(ValueError, match="input ids"):
         forward(model, batch)
-    with pytest.raises(ValueError, match="input ids"):
-        bptt(model, batch)
 
 
 @pytest.mark.parametrize("inputs,message", [
@@ -521,15 +518,16 @@ def test_batch_rejects_inputs_that_are_not_ids_or_features(inputs, message):
     (8, 150, 64, 56, 56, 5.85),
 ])
 def test_bptt_allocation_budget(b, t_len, n, d_in, d_out, budget):
-    """Peak traced allocation of one ``bptt`` call, forward included, in
+    """Peak traced allocation of one ``forward`` and ``bptt`` pass, in
     units of one (T, B, n) float64 trace.  The recurrence owns one trace
     buffer per direction; a separate pre-activation array or head-gradient
     array would add about one more unit."""
     model, batch = carried_batch(b, t_len, n, d_in, d_out)
-    bptt(model, batch)  # warm up lazily allocated numpy and BLAS state
+    # warm up lazily allocated numpy and BLAS state
+    bptt(model, batch, forward(model, batch))
     tracemalloc.start()
     try:
-        bptt(model, batch)
+        bptt(model, batch, forward(model, batch))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,6 @@ from schurrnn.tasks import (
     CharLmSpec,
     CopyTaskSpec,
     char_lm_stream,
-    copy_baseline_loss,
     copy_batch,
     copy_stream,
 )
@@ -47,15 +46,6 @@ def test_copy_determinism_and_stream_freshness():
     assert not np.array_equal(first.targets, second.targets)
 
 
-def test_copy_baseline_formula():
-    assert copy_baseline_loss(50) == pytest.approx(10 * np.log(8) / 70)
-    assert copy_baseline_loss(200) == pytest.approx(0.0945, abs=5e-4)
-    vals = [copy_baseline_loss(t) for t in (1, 10, 100, 1000)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        copy_baseline_loss(0)
-
-
 def test_blank_then_uniform_predictor_achieves_baseline():
     """The input-independent baseline (blank with certainty for the first
     T+10 steps, uniform over the 8 data symbols afterwards) scores exactly
@@ -70,7 +60,7 @@ def test_blank_then_uniform_predictor_achieves_baseline():
     logp = logits - np.log(np.sum(np.exp(logits), axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, batch.targets[..., None], axis=-1)
     loss = float(-picked.mean())
-    assert loss == pytest.approx(copy_baseline_loss(delay), rel=1e-9)
+    assert loss == pytest.approx(10 * np.log(8) / (delay + 20), rel=1e-9)
 
 
 def test_copy_symbols_uniform_chi_square():
