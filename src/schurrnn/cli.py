@@ -8,10 +8,11 @@ columns, from that record's dataclass fields, in field order; this module
 keeps only the file names and the encoding (``csv.writer``, which writes
 floats as their shortest round-trip repr, and JSON with indent 2, arrays
 as lists).  Each command checks its config, computes every result in
-memory, then writes its files with one call to
-:func:`_write`; the checkpoint, a format with its own reader, is written
-by :func:`schurrnn.schur.save_checkpoint`.  Each command imports the
-library modules it runs, and no others, when it is called.
+memory and returns its files, as text keyed by file name, with its
+failure or ``None``; it writes nothing.  :func:`main` writes the files
+with one call to :func:`_write`, the checkpoint among them, and turns the
+outcome into an exit code.  Each command imports the library modules it
+runs, and no others, when it is called.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (divergence or series non-convergence).
@@ -166,10 +167,13 @@ def _json_text(doc):
 def _write(out_dir, files):
     """Write each file name's text in ``files`` into ``out_dir``, which is
     made if need be."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out_dir}: {exc}")
 
 
 def _report_files(params):
@@ -228,10 +232,10 @@ def _log_text(records):
                      map(dataclasses.astuple, records))
 
 
-def cmd_train(config_path, out_dir, seed_override):
-    from . import schur
+def cmd_train(config_path, seed_override):
     from .optim import TrainConfig, train_loop
     from .rnn import init_model
+    from .schur import checkpoint_text
 
     doc = _checked(_load_json(config_path),
                    {"task": dict, "model": dict, "train": dict, "seed": int},
@@ -258,20 +262,15 @@ def cmd_train(config_path, out_dir, seed_override):
         with _named(f"train: a batch sized by batch_size and {size_key}"):
             result = train_loop(model, stream, config)
     except DivergenceError as exc:
-        _write(out_dir, {"train_log.csv": _log_text(exc.records)})
-        raise
-    _write(out_dir, {"train_log.csv": _log_text(result.records),
-                     **_report_files(model.schur)})
-    schur.save_checkpoint(
-        model.schur, os.path.join(out_dir, "checkpoint.json"),
-        scheme=scheme, seed=seed,
-    )
-    return 0
+        return {"train_log.csv": _log_text(exc.records)}, str(exc)
+    return {"train_log.csv": _log_text(result.records),
+            "checkpoint.json": checkpoint_text(model.schur, scheme, seed),
+            **_report_files(model.schur)}, None
 
 
 # --- fmc ----------------------------------------------------------------------
 
-def cmd_fmc(config_path, out_dir):
+def cmd_fmc(config_path):
     from . import memory
 
     doc = _checked(_load_json(config_path), {"sweep": list}, {"sweep"},
@@ -297,16 +296,13 @@ def cmd_fmc(config_path, out_dir):
     files["fmc_summary.csv"] = _csv_text(
         ["row", *(f.name for f in dataclasses.fields(memory.FmcConfig)),
          "j_tot", "status"], summary)
-    _write(out_dir, files)
-    # The good rows are written; the first diverged row names the failure.
-    if failure:
-        raise DivergenceError(failure)
-    return 0
+    # The good rows are kept; the first diverged row names the failure.
+    return files, failure
 
 
 # --- transients ---------------------------------------------------------------
 
-def cmd_transients(config_path, out_dir, seed_override):
+def cmd_transients(config_path, seed_override):
     from . import memory
 
     doc = _checked(_load_json(config_path),
@@ -327,13 +323,12 @@ def cmd_transients(config_path, out_dir, seed_override):
         columns = vars(stats)
         files[f"transients_{i:02d}.csv"] = _csv_text(
             list(columns), zip(*columns.values()))
-    _write(out_dir, files)
-    return 0
+    return files, None
 
 
 # --- props --------------------------------------------------------------------
 
-def cmd_props(config_path, out_dir):
+def cmd_props(config_path):
     from . import memory, propcheck
 
     doc = _checked(_load_json(config_path), {"prop2": list, "prop1": list},
@@ -355,36 +350,38 @@ def cmd_props(config_path, out_dir):
             memory.delay_line_theta(row["n"], row["alpha"]))
         return rep.holds, vars(rep)
 
-    # The reports run in order, each is written, and the first failed
-    # check ends the run with status 2.
+    # The reports run in order, each is kept, and the first failed check
+    # ends the run.  Its report says what failed, so the failure's
+    # message is empty.
     files = {}
-    status = 0
     for name, rows, run in (("prop2", prop2, prop2_report),
                             ("prop1", prop1, prop1_report)):
-        for i, row in enumerate(rows if status == 0 else []):
+        for i, row in enumerate(rows):
             with _named(f"{name}[{i}]"):
                 ok, doc = run(row)
             files[f"{name}_{i:02d}.json"] = _json_text(doc)
             if not ok:
-                status = 2
-                break
-    _write(out_dir, files)
-    return status
+                return files, ""
+    return files, None
 
 
 # --- report -------------------------------------------------------------------
 
-def cmd_report(config_path, out_dir):
+def cmd_report(config_path):
     from . import schur
 
     try:
-        params, _, _ = schur.load_checkpoint(config_path)
+        params = schur.load_checkpoint(config_path)
     except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot load checkpoint {config_path}: {exc}")
-    _write(out_dir, _report_files(params))
-    return 0
+    return _report_files(params), None
 
 
+# Each command takes its config path (and seed, if it has one) and returns
+# (files, failure): its files as text keyed by name, and None on success or
+# else the message of its `numerical failure:` line.  An empty message
+# (props' failed check, whose report says what failed) exits 2 with nothing
+# on stderr; every DivergenceError the library raises has a message.
 _COMMANDS = {
     "train": cmd_train,
     "fmc": cmd_fmc,
@@ -412,18 +409,27 @@ def main(argv=None):
     seed = (args.seed,) if "seed" in args else ()
 
     # Overflow and NaN are reported by the library's own checks as one
-    # DivergenceError, without numpy's warnings ahead of it.
+    # DivergenceError, without numpy's warnings ahead of it.  A raised
+    # one writes nothing; a returned failure keeps the command's files.
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
+        # --out is a directory, or one can be made there: it is not empty,
+        # and the nearest path on it that exists is a directory.
+        path = args.out
+        while path and not os.path.exists(path):
+            path = os.path.dirname(path)
+        if not args.out or not os.path.isdir(path or "."):
             raise ConfigError(f"--out {args.out} is not a directory")
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args.config, args.out, *seed)
+            files, failure = _COMMANDS[args.command](args.config, *seed)
+        _write(args.out, files)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        failure = str(exc)
+    if failure:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+    return 0 if failure is None else 2
 
 
 if __name__ == "__main__":

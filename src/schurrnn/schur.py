@@ -24,7 +24,7 @@ __all__ = [
     "backward_v",
     "init_params",
     "t_lower_mask",
-    "save_checkpoint",
+    "checkpoint_text",
     "load_checkpoint",
 ]
 
@@ -287,9 +287,10 @@ def _lower_rows(m):
     return [[float(m[i, j]) for j in range(i)] for i in range(m.shape[0])]
 
 
-def save_checkpoint(p, path, scheme=None, seed=None):
-    """Write the parameters as JSON.  Floats go through repr, so values
-    round-trip exactly."""
+def checkpoint_text(p, scheme, seed):
+    """The checkpoint of the parameters, with the init scheme and seed
+    that made them, as one line of JSON.  Floats go through repr, so
+    values round-trip exactly."""
     doc = {
         "n": p.n,
         "b_skew": _lower_rows(p.b_skew),
@@ -299,9 +300,7 @@ def save_checkpoint(p, path, scheme=None, seed=None):
         "scheme": scheme,
         "seed": seed,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    return json.dumps(doc) + "\n"
 
 
 def _floats(values, name):
@@ -326,8 +325,8 @@ def _lower_from_rows(rows, n, name):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`.  Returns
-    (params, scheme, seed); a malformed document raises ``ValueError``
+    """The parameters of the checkpoint file at ``path``, as written from
+    :func:`checkpoint_text`; a malformed document raises ``ValueError``
     (``KeyError`` for a missing field)."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -336,11 +335,10 @@ def load_checkpoint(path):
     n = doc["n"]
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    params = SchurParams(
+    return SchurParams(
         n=n,
         b_skew=_skew_from_lower(_lower_from_rows(doc["b_skew"], n, "b_skew")),
         gamma=_floats(doc["gamma"], "gamma"),
         theta=_floats(doc["theta"], "theta"),
         t_lower=_lower_from_rows(doc["t_lower"], n, "t_lower"),
     )
-    return params, doc.get("scheme"), doc.get("seed")

@@ -9,8 +9,8 @@ from schurrnn.analysis import connectivity_report
 from schurrnn.schur import (
     assemble_theta,
     assemble_v,
+    checkpoint_text,
     init_params,
-    save_checkpoint,
     t_lower_mask,
 )
 
@@ -113,7 +113,7 @@ def run_report(tmp_path, p):
     """The output directory of `schurrnn report` on a checkpoint of p."""
     tmp_path.mkdir(exist_ok=True)
     ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(p, ckpt)
+    ckpt.write_text(checkpoint_text(p, "henaff", 0))
     out = tmp_path / "report"
     assert cli.main(["report", "--config", str(ckpt), "--out", str(out)]) == 0
     return out

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import output_digests
 from schurrnn import analysis, cli, memory, propcheck
 from schurrnn.optim import LogRecord
-from schurrnn.schur import init_params, load_checkpoint, save_checkpoint
+from schurrnn.schur import checkpoint_text, init_params, load_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = "src/schurrnn/data/fmc_sweep_sm.json"
@@ -254,26 +256,116 @@ def test_out_of_range_number_exit_1(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def small_config(tmp_path, command):
+    """The path of a small config of ``command`` that runs: a checkpoint
+    for ``report``."""
+    if command == "train":
+        return train_config(tmp_path)
+    path = tmp_path / f"{command}.json"
+    if command == "report":
+        path.write_text(checkpoint_text(init_params(8, rng_seed=0), "henaff", 0))
+        return str(path)
+    docs = {"fmc": {"sweep": [{"n": 4}]}, "transients": TRANSIENTS,
+            "props": PROPS}
+    return write_json(path, docs[command])
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_out_names_a_file_exit_1(tmp_path, capsys, command):
+def test_out_names_a_file_exit_1(tmp_path, capsys, monkeypatch, command):
     # a config that runs, so the command fails only on --out, before it
     # does any work
-    train_config(tmp_path)
-    write_json(tmp_path / "fmc.json", {"sweep": [{"n": 4}]})
-    write_json(tmp_path / "transients.json", TRANSIENTS)
-    write_json(tmp_path / "props.json", PROPS)
-    save_checkpoint(init_params(8, rng_seed=0), tmp_path / "report.json")
-    config = str(tmp_path / f"{command}.json")
+    config = small_config(tmp_path, command)
     assert cli.main([command, "--config", config,
                      "--out", str(tmp_path / "dir")]) == 0
     capsys.readouterr()
+    monkeypatch.setitem(cli._COMMANDS, command, lambda *args: pytest.fail(
+        "the command ran before --out was checked"))
     out = tmp_path / "o"
     out.write_text("a file\n")
-    code = cli.main([command, "--config", config, "--out", str(out)])
+    # a file, a path under a file, and no path
+    for bad in (out, out / "sub", ""):
+        code = cli.main([command, "--config", config, "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --out ") and "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
+def test_out_unwritable_file_exit_1(tmp_path, capsys):
+    # --out is a directory, but a directory holds the name of an output
+    # file, so opening it fails at the write
+    out = tmp_path / "out"
+    (out / "fmc_summary.csv").mkdir(parents=True)
+    code = cli.main(["fmc", "--config", small_config(tmp_path, "fmc"),
+                     "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
-    assert out.read_text() == "a file\n"
+    assert err.startswith(f"error: cannot write to --out {out}: ")
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The sorted file names of each call to ``cli._write``, which still
+    writes."""
+    calls = []
+    write = cli._write
+
+    def recorded(out_dir, files):
+        calls.append(sorted(files))
+        write(out_dir, files)
+    monkeypatch.setattr(cli, "_write", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_write_per_run(tmp_path, writes, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", small_config(tmp_path, command),
+                     "--out", str(out)]) == 0
+    assert writes == [sorted(os.listdir(out))]
+
+
+@pytest.mark.parametrize("command,doc,code,kept", [
+    ("fmc", {"sweep": [{"n": 4, "bogus": 1}]}, 1, None),
+    ("transients", {"configs": [{"n": 100, "d": 0.0, "alpha": 1e200}]}, 2,
+     None),
+    ("fmc", {"sweep": [{"n": 4}, {"n": 2, "d": 0.99, "alpha": 1e6}]}, 2,
+     ["fmc_00.csv", "fmc_summary.csv"]),
+    ("train", {"task": {"kind": "copy", "delay": 4}, "model": {"n": 8},
+               "train": {"max_updates": 15, "batch_size": 4,
+                         "lr_orth": 1e300}}, 2, ["train_log.csv"]),
+], ids=["config_error", "transients_overflow", "fmc_diverged",
+        "train_diverged"])
+def test_failed_run_writes_once_or_not_at_all(tmp_path, writes, command, doc,
+                                              code, kept):
+    # a raised failure writes nothing; a returned one keeps its files
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_json(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == code
+    if kept is None:
+        assert writes == [] and not out.exists()
+    else:
+        assert writes == [kept] == [sorted(os.listdir(out))]
+
+
+def test_props_failed_check_writes_once_stderr_empty(tmp_path, monkeypatch,
+                                                     capsys, writes):
+    # a curve scaled below the bound fails prop1[0]; its report says so,
+    # and stderr stays empty
+    fmc_from_theta = memory.fmc_from_theta
+
+    def halved(*args, **kwargs):
+        res = fmc_from_theta(*args, **kwargs)
+        res.j_curve /= 2.0
+        return res
+
+    monkeypatch.setattr(memory, "fmc_from_theta", halved)
+    out = tmp_path / "out"
+    assert cli.main(["props", "--config", small_config(tmp_path, "props"),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    assert writes == [["prop1_00.json", "prop2_00.json"]]
 
 
 def test_train_corpus_not_a_string_exit_1(tmp_path):
@@ -597,7 +689,7 @@ def test_csv_floats_round_trip(tmp_path):
     out = tmp_path / "train"
     assert cli.main(["train", "--config", train_config(tmp_path),
                      "--out", str(out)]) == 0
-    params, _, _ = load_checkpoint(out / "checkpoint.json")
+    params = load_checkpoint(out / "checkpoint.json")
     profile = analysis.connectivity_report(params).subdiag_profile
     assert np.any(profile != 0.0)
     rows = list(csv.reader((out / "subdiag_profile.csv").open()))[1:]
@@ -626,7 +718,7 @@ def test_shipped_config_runs(tmp_path, monkeypatch, path):
 
 def test_report_on_init_checkpoint(tmp_path):
     ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(init_params(8, rng_seed=0), ckpt)
+    ckpt.write_text(checkpoint_text(init_params(8, rng_seed=0), "henaff", 0))
     out = tmp_path / "rep"
     assert cli.main(["report", "--config", str(ckpt), "--out", str(out)]) == 0
     doc = json.loads((out / "connectivity_report.json").read_text())
@@ -689,3 +781,47 @@ def test_seed_override_changes_run(tmp_path):
     cli.main(["train", "--config", cfgp, "--out", str(out1)])
     cli.main(["train", "--config", cfgp, "--out", str(out2), "--seed", "99"])
     assert (out1 / "checkpoint.json").read_bytes() != (out2 / "checkpoint.json").read_bytes()
+
+
+def test_output_digests_runs_every_command(tmp_path, monkeypatch):
+    # small configs in place of the shipped ones, the char-LM corpus path
+    # relative to the repository root as theirs is, run from elsewhere:
+    # train runs the updates asked for, each run's directory holds its
+    # command's files, and each line is its file's digest
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    train_config(configs)
+    os.rename(configs / "train.json", configs / "copy_default.json")
+    write_json(configs / "char_lm_default.json", {
+        "task": {"kind": "char_lm", "corpus": "src/schurrnn/data/corpus.txt",
+                 "window": 8},
+        "model": {"n": 8}, "train": {"batch_size": 2}})
+    write_json(configs / "transients.json", TRANSIENTS)
+    write_json(configs / "props.json", PROPS)
+    monkeypatch.setattr(output_digests, "CONFIGS", configs)
+    monkeypatch.setattr(output_digests, "FMC_SWEEP", write_json(
+        tmp_path / "sweep.json", {"sweep": [{"n": 4}, {"n": 6}]}))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    lines = output_digests.write_outputs(out, updates=5)
+    paths = [line.split("  ")[1] for line in lines]
+    assert paths == sorted(paths)
+    dirs = {}
+    for path in paths:
+        head, name = path.rsplit("/", 1)
+        dirs.setdefault(head, []).append(name)
+    report = ["connectivity_report.json", "subdiag_profile.csv"]
+    train = sorted(["checkpoint.json", "train_log.csv", *report])
+    assert dirs == {
+        "fmc": ["fmc_00.csv", "fmc_01.csv", "fmc_summary.csv"],
+        "props": ["prop1_00.json", "prop2_00.json"],
+        "report/char_lm_default": report, "report/copy_default": report,
+        "train/char_lm_default": train, "train/copy_default": train,
+        "transients/seed0": ["transients_00.csv"],
+        "transients/seed7": ["transients_00.csv"],
+    }
+    for line in lines:
+        digest, path = line.split("  ")
+        assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest()
+    log = list(csv.DictReader((out / "train/copy_default/train_log.csv").open()))
+    assert [row["update"] for row in log] == ["5"]
