@@ -42,7 +42,8 @@ def connectivity_report(p):
     value on V itself.  The spectral radius is read from the Schur form:
     the eigenvalues of V are gamma_i e^{+-i theta_i}, whatever T is.  The
     growth of V^t is labelled by :func:`iterate_growth_probe` on Theta,
-    whose powers have the same singular values as V's."""
+    from its spectral radius and its top singular value, both of which
+    are V's as well."""
     v, cache = assemble_v(p)
     theta = cache.theta
     n = p.n

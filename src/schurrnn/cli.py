@@ -10,9 +10,10 @@ floats as their shortest round-trip repr, and JSON with indent 2, arrays
 as lists).  Each command checks its config, computes every result in
 memory and returns its files, as text keyed by file name, with its
 failure or ``None``; it writes nothing.  :func:`main` writes the files
-with one call to :func:`_write`, the checkpoint among them, and turns the
-outcome into an exit code.  Each command imports the library modules it
-runs, and no others, when it is called.
+with one call to :func:`_write`, the checkpoint among them, into an
+``--out`` that holds no files yet, and turns the outcome into an exit
+code.  Each command imports the library modules it runs, and no others,
+when it is called.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (divergence or series non-convergence).
@@ -199,8 +200,8 @@ _TASK_KEYS = {"copy": {"kind": str, "delay": int},
 def _build_task(doc, batch_size, seed):
     from . import tasks
 
-    kind = _checked(doc, {"kind": str, "delay": int, "corpus": str,
-                          "window": int}, {"kind"}, "task")["kind"]
+    kind = _checked(doc, {k: t for keys in _TASK_KEYS.values()
+                          for k, t in keys.items()}, {"kind"}, "task")["kind"]
     if kind not in _TASK_KEYS:
         raise ConfigError(f"task: unknown kind {kind!r}")
     doc = _checked(doc, _TASK_KEYS[kind], {"kind"}, f"task of kind {kind!r}")
@@ -413,12 +414,20 @@ def main(argv=None):
     # one writes nothing; a returned failure keeps the command's files.
     try:
         # --out is a directory, or one can be made there: it is not empty,
-        # and the nearest path on it that exists is a directory.
+        # and the nearest path on it that exists is a directory.  A
+        # directory that is there holds nothing, so no file of an earlier
+        # run is left beside this one's.
         path = args.out
         while path and not os.path.exists(path):
             path = os.path.dirname(path)
         if not args.out or not os.path.isdir(path or "."):
             raise ConfigError(f"--out {args.out} is not a directory")
+        try:
+            held = path == args.out and os.listdir(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --out {args.out}: {exc}")
+        if held:
+            raise ConfigError(f"--out {args.out} is not empty")
         with np.errstate(over="ignore", invalid="ignore"):
             files, failure = _COMMANDS[args.command](args.config, *seed)
         _write(args.out, files)

@@ -7,9 +7,10 @@ exactly skew B exactly skew (the state is symmetric and every update is
 elementwise), so P = exp(B), re-exponentiated at the next assembly, never
 leaves the manifold (up to the accuracy of the matrix exponential).
 The loss adds two regularizers on the Schur parameters: an L2 pull of each
-gamma toward 1 with weight ``delta`` while gamma is learned, and an L2
-decay on T with weight ``t_decay``.  Their gradients are folded into the
-task gradients before the RMSprop normalization.
+gamma toward 1 with weight ``delta`` while gamma is learned (clamped, every
+gamma is 1 and is not stepped), and an L2 decay on T with weight
+``t_decay``.  Their gradients are folded into the task gradients before
+the RMSprop normalization.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,7 @@ class TrainConfig:
     rms_alpha: float = 0.99
     delta: float = 1e-4
     t_decay: float = 1e-6
-    gamma_mode: str = "regularized"   # "regularized" | "clamped"
-    gamma_clamp: float = 1.0
+    gamma_mode: str = "regularized"   # "regularized" | "clamped" to 1
     batch_size: int = 10
     max_updates: int = 1000
     log_every: int = 10
@@ -48,8 +48,6 @@ class TrainConfig:
             raise ValueError("regularizer weights must be >= 0")
         if self.gamma_mode not in ("regularized", "clamped"):
             raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
-        if self.gamma_mode == "clamped" and self.gamma_clamp <= 0:
-            raise ValueError("gamma_clamp must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_updates < 0 or self.log_every < 0:
@@ -94,13 +92,13 @@ def train_loop(model, stream, config):
     a gamma that is not > 0, a failed eigendecomposition of B^T B or a
     non-finite hidden state or loss.
 
-    Clamped gamma is set once here and never stepped, and then ``delta``
-    has no effect.
+    Clamped gamma is set to 1 once here and never stepped, and then
+    ``delta`` has no effect.
     """
     clamped = config.gamma_mode == "clamped"
     p = model.schur
     if clamped:
-        p.gamma[:] = config.gamma_clamp
+        p.gamma[:] = 1.0
 
     rms = {}  # running mean of squared gradients per parameter tensor
     records = []

@@ -298,7 +298,7 @@ def test_criterion_10_growth_classification():
         cases.append((m, "polynomial"))
     wrong = []
     for i, (m, expected) in enumerate(cases):
-        got = propcheck.iterate_growth_probe(m, t_max=100)
+        got = propcheck.iterate_growth_probe(m)
         if got != expected:
             wrong.append(f"case {i}: {got} != {expected}")
     report(10, not wrong,

@@ -46,6 +46,7 @@ NAMED_KEYS = {
     "char_lm_delay": ["delay"],
     "transients_n_unallocatable": ["n = 33554432"],
     **dict.fromkeys(["seed_negative", "transients_seed_negative"], ["seed"]),
+    "gamma_clamp": ["train: unknown keys ['gamma_clamp']"],
 }
 CORPUS = str(ROOT / "src" / "schurrnn" / "data" / "corpus.txt")
 
@@ -136,13 +137,14 @@ def test_train_seed_key_exit_1(tmp_path, capsys):
               "corpus": "nonexistent.txt"}},
     {"task": {"kind": "char_lm", "corpus": CORPUS, "window": 8, "delay": 5}},
     {"seed": -1},
+    {"train": {"gamma_clamp": 1.0}},
 ], ids=["batch_size", "gamma_mode", "odd_n", "scheme", "delay", "cell_kind",
         "seed", "batch_size_float", "max_updates_float", "log_every_string",
         "max_updates_negative", "log_every_negative", "max_updates_bool",
         "delta_nan", "t_decay_nan", "lr_nan", "lr_orth_inf", "lr_minus_inf",
         "batch_size_huge", "delay_huge", "nested", "batch_size_unallocatable",
         "delay_unallocatable", "copy_char_lm_keys", "char_lm_delay",
-        "seed_negative"])
+        "seed_negative", "gamma_clamp"])
 def test_invalid_train_value_exit_1(tmp_path, capsys, request, over):
     # a string is the whole config document
     config = (write_json(tmp_path / "train.json", over)
@@ -275,8 +277,9 @@ def test_out_names_a_file_exit_1(tmp_path, capsys, monkeypatch, command):
     # a config that runs, so the command fails only on --out, before it
     # does any work
     config = small_config(tmp_path, command)
-    assert cli.main([command, "--config", config,
-                     "--out", str(tmp_path / "dir")]) == 0
+    used = tmp_path / "dir"
+    assert cli.main([command, "--config", config, "--out", str(used)]) == 0
+    first_run = {p.name: p.read_bytes() for p in used.iterdir()}
     capsys.readouterr()
     monkeypatch.setitem(cli._COMMANDS, command, lambda *args: pytest.fail(
         "the command ran before --out was checked"))
@@ -289,19 +292,24 @@ def test_out_names_a_file_exit_1(tmp_path, capsys, monkeypatch, command):
         assert code == 1
         assert err.startswith("error: --out ") and "Traceback" not in err
     assert out.read_text() == "a file\n"
+    # a directory that holds an earlier run's files, which stay as they were
+    assert cli.main([command, "--config", config, "--out", str(used)]) == 1
+    assert capsys.readouterr().err == f"error: --out {used} is not empty\n"
+    assert {p.name: p.read_bytes() for p in used.iterdir()} == first_run
 
 
 def test_out_unwritable_file_exit_1(tmp_path, capsys):
-    # --out is a directory, but a directory holds the name of an output
-    # file, so opening it fails at the write
+    # --out is a dangling symlink: no path on it is a file, so it passes
+    # the check, but making the directory fails at the write
     out = tmp_path / "out"
-    (out / "fmc_summary.csv").mkdir(parents=True)
+    out.symlink_to(tmp_path / "missing")
     code = cli.main(["fmc", "--config", small_config(tmp_path, "fmc"),
                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: cannot write to --out {out}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.fixture

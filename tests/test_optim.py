@@ -85,8 +85,6 @@ def test_train_config_validation():
     for mode in ("nope", "free"):
         with pytest.raises(ValueError, match="unknown gamma mode"):
             TrainConfig(gamma_mode=mode)
-    with pytest.raises(ValueError):
-        TrainConfig(gamma_mode="clamped", gamma_clamp=0.0)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         TrainConfig(batch_size=0)
 
@@ -101,16 +99,16 @@ def test_train_loop_smoke_and_loss_decrease():
     assert all(r.orth_err < 1e-10 for r in res.records)
 
 
-@pytest.mark.parametrize("clamp", [1.0, 0.9])
-def test_train_loop_clamped_gamma_fixed(clamp):
-    # henaff starts gamma at 1, so only the 0.9 case shows that the clamp
-    # is applied rather than gamma being left untouched
+@pytest.mark.parametrize("start", [1.0, 0.9])
+def test_train_loop_clamped_gamma_fixed(start):
+    # henaff starts gamma at 1, so only the 0.9 start shows that the clamp
+    # sets gamma to 1 rather than leaving it untouched
     spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
     model = init_model(8, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
-    cfg = TrainConfig(max_updates=30, log_every=10, gamma_mode="clamped",
-                      gamma_clamp=clamp)
+    model.schur.gamma[:] = start
+    cfg = TrainConfig(max_updates=30, log_every=10, gamma_mode="clamped")
     train_loop(model, tasks.copy_stream(spec), cfg)
-    assert np.all(model.schur.gamma == clamp)
+    assert np.all(model.schur.gamma == 1.0)
 
 
 def test_train_loop_delta_0_gamma_moves():
@@ -129,12 +127,12 @@ def test_train_loop_regularizer(monkeypatch, mode, delta):
     is learned, plus t_decay * sum t^2, and the gamma and t_lower
     gradients handed to RMSprop are bptt's plus the derivatives of those
     terms."""
-    n, t_decay, clamp = 8, 0.01, 0.9
+    n, t_decay = 8, 0.01
     spec = tasks.CopyTaskSpec(delay=3, batch_size=4, seed=0)
     model = init_model(n, tasks.COPY_D_IN, tasks.COPY_D_OUT, seed=0)
     p = model.schur
     rng = np.random.default_rng(0)
-    p.gamma = (np.full(n // 2, clamp) if mode == "clamped"
+    p.gamma = (np.ones(n // 2) if mode == "clamped"
                else rng.uniform(0.8, 1.2, n // 2))
     p.t_lower = rng.normal(size=(n, n)) * t_lower_mask(n)
     resid, t_lower = 1.0 - p.gamma, p.t_lower.copy()
@@ -151,7 +149,7 @@ def test_train_loop_regularizer(monkeypatch, mode, delta):
 
     monkeypatch.setattr(optim, "rmsprop_step", spy)
     cfg = TrainConfig(max_updates=1, log_every=1, gamma_mode=mode,
-                      gamma_clamp=clamp, delta=delta, t_decay=t_decay)
+                      delta=delta, t_decay=t_decay)
     [rec] = train_loop(model, tasks.copy_stream(spec), cfg).records
 
     reg = t_decay * np.sum(t_lower**2)
@@ -160,7 +158,7 @@ def test_train_loop_regularizer(monkeypatch, mode, delta):
                                rtol=1e-13, atol=0.0)
     if mode == "clamped":
         assert "gamma" not in handed
-        assert np.all(p.gamma == clamp)
+        assert np.all(p.gamma == 1.0)
     else:
         reg += delta * np.sum(resid**2)
         np.testing.assert_allclose(handed["gamma"],
