@@ -177,8 +177,9 @@ def iterate_growth_probe(m):
     The spectral radius rho decides first: "exponential" unless
     rho <= 1 + ``RHO_TOL`` (so also for a non-finite ``m``, whose rho is
     NaN), whatever transient growth comes first.  Below 1 - ``RHO_TOL``
-    the powers decay, and are "nilpotent" when m^n, which is zero for
-    every nilpotent n x n matrix (Cayley-Hamilton), is exactly zero.
+    the powers decay, and are "nilpotent" when m^(2^k), 2^k >= n, which
+    is zero for every nilpotent n x n matrix (Cayley-Hamilton), is
+    exactly zero.
     Within ``RHO_TOL`` of 1 nothing grows exponentially, and since
     rho^t <= sigma_max(m^t) <= sigma_max(m)^t the trace of sigma_max(m^t)
     is constant exactly when sigma_max(m) = 1: the label is "constant"
@@ -188,9 +189,16 @@ def iterate_growth_probe(m):
     if not rho <= 1.0 + RHO_TOL:
         return "exponential"
     if rho < 1.0 - RHO_TOL:
-        # a power that overflows is not zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            zero = not np.linalg.matrix_power(m, m.shape[0]).any()
-        return "nilpotent" if zero else "decaying"
+        # m^(2^k), 2^k >= n, by squarings of factors scaled to a largest
+        # entry of 1, so that no power overflows (inf * 0 is NaN, not
+        # zero) or underflows to zero (0.01 I at n = 200)
+        p = m
+        for _ in range((m.shape[0] - 1).bit_length()):
+            peak = np.abs(p).max()
+            if peak == 0.0:
+                return "nilpotent"
+            p = p / peak
+            p = p @ p
+        return "decaying" if p.any() else "nilpotent"
     return ("constant" if abs(np.log(np.linalg.norm(m, 2))) <= CONST_TOL
             else "polynomial")

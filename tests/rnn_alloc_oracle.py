@@ -8,6 +8,10 @@ product of two temporaries.  The head is the same fused class-major
 softmax cross-entropy as the library's.  Every operation rounds as the
 library's does (IEEE addition and multiplication commute), so the two
 must agree bit for bit.
+
+The steps keep ``@`` on numpy's own ``ascontiguousarray(v.T)`` and on
+``v`` as given, where the library steps with ``ndarray.dot`` on 64-byte
+aligned copies; the bitwise test is what pins those to this form.
 """
 
 import numpy as np

@@ -129,19 +129,18 @@ def test_verify_prop2_json_roundtrip(tmp_path):
     assert doc["n"] == 4 and doc["t_max"] == 6
 
 
+def rotation(n, seed):
+    g = np.random.default_rng(seed).normal(size=(n, n))
+    return expm(np.tril(g, -1) - np.tril(g, -1).T)
+
+
 def test_growth_probe_constant_orthogonal():
-    rng = np.random.default_rng(0)
-    g = rng.normal(size=(8, 8))
-    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
-    probe = iterate_growth_probe(q)
+    probe = iterate_growth_probe(rotation(8, 0))
     assert probe == "constant"
 
 
 def test_growth_probe_exponential():
-    rng = np.random.default_rng(1)
-    g = rng.normal(size=(6, 6))
-    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
-    probe = iterate_growth_probe(1.08 * q)
+    probe = iterate_growth_probe(1.08 * rotation(6, 1))
     assert probe == "exponential"
 
 
@@ -179,8 +178,10 @@ def test_growth_probe_overflow_flagged_exponential():
     np.tril(np.random.default_rng(0).normal(size=(128, 128)), -1),
     # rho is computed as 1.6e-16, but the square is exactly zero
     np.array([[1.0, 1.0], [-1.0, -1.0]]),
+    # an unscaled square overflows to inf, and inf * 0 is NaN in the cube
+    1e200 * np.triu(np.ones((3, 3)), 1),
 ], ids=["strictly_upper", "zero", "shift", "strictly_lower_128",
-        "rank_one"])
+        "rank_one", "strictly_upper_overflowing"])
 def test_growth_probe_nilpotent(m):
     # m^n is exactly zero, and no log of zero is taken
     probe = iterate_growth_probe(m)
@@ -223,13 +224,16 @@ def test_growth_probe_schur_form_repeated_angles_polynomial():
     assert probe == "polynomial"
 
 
-def test_growth_probe_contraction_decaying():
+@pytest.mark.parametrize("m,rho", [
     # the iterates alone read log sigma falling as polynomial
-    rng = np.random.default_rng(0)
-    g = rng.normal(size=(8, 8))
-    q = expm(np.tril(g, -1) - np.tril(g, -1).T)
-    probe = iterate_growth_probe(0.9 * q)
-    assert _spectral_radius(0.9 * q) == pytest.approx(0.9, rel=1e-13)
+    (0.9 * rotation(8, 0), 0.9),
+    # unscaled, rho^n underflows to exactly zero
+    (0.01 * np.eye(200), 0.01),
+    (1e-100 * np.eye(4), 1e-100),
+], ids=["rotation", "identity_200", "identity_tiny"])
+def test_growth_probe_contraction_decaying(m, rho):
+    probe = iterate_growth_probe(m)
+    assert _spectral_radius(m) == pytest.approx(rho, rel=1e-13)
     assert probe == "decaying"
 
 

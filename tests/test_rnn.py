@@ -6,6 +6,7 @@ import pytest
 import rnn_alloc_oracle
 from schurrnn.rnn import (
     SequenceBatch,
+    _aligned_copy,
     bptt,
     forward,
     init_model,
@@ -288,9 +289,11 @@ def test_rnn_backward_matches_per_step_accumulation(n, t_len, b, zero_bias):
     """The mask taken once before the sweep gives the same pre-activation
     gradients as masking step by step, and the after-sweep contraction for
     dV and dbias sums the same terms as a per-step accumulation, only in
-    another order.  At zero bias modReLU is the identity."""
+    another order.  At zero bias modReLU is the identity.  Both sweeps
+    step against their own copy of V and leave the caller's as it was."""
     rng = np.random.default_rng(12)
     v = rng.normal(0, 1 / np.sqrt(n), (n, n))
+    v_bytes = v.tobytes()
     bias = rng.normal(size=n) * 0.5  # cuts some units, so the mask matters
     if zero_bias:
         bias[:] = 0.0
@@ -300,10 +303,27 @@ def test_rnn_backward_matches_per_step_accumulation(n, t_len, b, zero_bias):
     gout = rng.normal(size=(t_len, b, n))
     dpre = gout.copy()
     dv, dbias = rnn_backward(v, h, dpre)
+    assert v.tobytes() == v_bytes
     ref_dv, ref_dbias, ref_dpre = backward_per_step(v, h, gout)
     assert np.array_equal(dpre, ref_dpre)
     assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
     assert np.linalg.norm(dbias - ref_dbias) <= 1e-13 * np.linalg.norm(ref_dbias)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_aligned_copy_of_transposed_input(n):
+    """The step matrix is a C-ordered copy of a transposed (F-ordered)
+    input, equal to it and on a 64-byte boundary, whatever offset the heap
+    gives each allocation."""
+    a = np.random.default_rng(n).normal(size=(n, n))
+    assert a.T.flags.f_contiguous and not a.T.flags.c_contiguous
+    # kept alive, with a spacer of 1 to 8 floats, so that each copy gets
+    # its own block
+    held = [(_aligned_copy(a.T), np.empty(k)) for k in range(1, 9)]
+    for c, _ in held:
+        assert c.flags.c_contiguous
+        assert c.ctypes.data % 64 == 0
+        assert np.array_equal(c, a.T)
 
 
 def assert_rel_close(got, ref, label, tol=1e-13):
