@@ -337,8 +337,8 @@ def cmd_props(config_path):
     prop2 = [_checked(row, {"n": int, "t_max": int}, {"n", "t_max"},
                       f"prop2[{i}]")
              for i, row in enumerate(doc.get("prop2", [{"n": 6, "t_max": 12}]))]
-    prop1 = [_checked(row, {"n": int, "alpha": float}, {"n", "alpha"},
-                      f"prop1[{i}]")
+    prop1 = [_checked(row, {"n": int, "alpha": float, "beta": float},
+                      {"n", "alpha"}, f"prop1[{i}]")
              for i, row in enumerate(doc.get("prop1", [{"n": 8, "alpha": 1.0}]))]
 
     def prop2_report(row):
@@ -347,8 +347,10 @@ def cmd_props(config_path):
             f"k={k},t={t}": rec for (k, t), rec in rep.polynomials.items()}}
 
     def prop1_report(row):
-        rep = memory.prop1_bound_check(
-            memory.delay_line_theta(row["n"], row["alpha"]))
+        n = row["n"]
+        theta = memory.delay_line_theta(n, row["alpha"])
+        theta += row.get("beta", 0.0) * np.tril(np.ones((n, n)), -2)
+        rep = memory.prop1_bound_check(theta)
         return rep.holds, vars(rep)
 
     # The reports run in order, each is kept, and the first failed check

@@ -32,6 +32,7 @@ import contextlib
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -299,6 +300,7 @@ def delay_line_fmc_closed_form(alpha, k):
 class Prop1Report:
     n: int
     alpha: float
+    beta: Optional[float]    # the entries below the sub-diagonal, if equal
     sigma_max: float
     holds: bool
     j_curve: np.ndarray
@@ -318,6 +320,11 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     R of one QR of those n - 1 columns with its rows scaled to a unit
     diagonal.  ``holds`` is False when the curve falls below the bound by
     more than ``slack``, which signals an implementation bug.
+
+    The report's ``beta`` is the value of every entry below the
+    sub-diagonal when they are all equal (0 for a delay line, and for
+    n = 2, which has none), else None.  A delay line meets the bound with
+    equality; a small beta > 0 puts it at about 80% of J.
     """
     theta = _checked_theta(theta)
     n = theta.shape[0]
@@ -327,6 +334,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
     if not np.allclose(sub, sub[0], atol=0.0) or sub[0] <= 0:
         raise ValueError("sub-diagonal must be constant and positive")
     alpha = float(sub[0]) ** 2
+    below = theta[np.tril_indices(n, -2)]
+    fill = float(below[0]) if below.size else 0.0
 
     r = np.linalg.qr(theta[:, :-1], mode="r")
     t_gram = r / np.diag(r)[:, None]
@@ -338,7 +347,8 @@ def prop1_bound_check(theta, eps=1.0, slack=1e-9):
         eps * sigma_max ** (2 * (n - 1)))
     margin = j - bound
     return Prop1Report(
-        n=n, alpha=alpha, sigma_max=sigma_max,
+        n=n, alpha=alpha, beta=fill if np.all(below == fill) else None,
+        sigma_max=sigma_max,
         holds=bool(np.all(margin >= -slack)),
         j_curve=j, bound=bound, margin=margin,
     )

@@ -207,7 +207,9 @@ def backward_v(p, grad_v, cache):
     d_gamma = c * (g00 + g11) + s * (g10 - g01)
     d_theta = p.gamma * (c * (g10 - g01) - s * (g00 + g11))
     # t_lower owns the strictly-lower entries outside the blocks.
-    grad_t = np.where(t_lower_mask(n), grad_theta, 0.0)
+    grad_t = np.tril(grad_theta, -1)
+    odd = np.arange(1, n, 2)
+    grad_t[odd, odd - 1] = 0.0
 
     # Pull dL/dP back through the exponential map.  cos h+-, sin h+ come
     # from the half-angle outer products; sin h- is taken directly, since

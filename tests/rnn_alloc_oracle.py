@@ -1,8 +1,10 @@
 """The allocating formulation of the recurrence, kept as a bit-identity
 oracle for the in-place kernels of :mod:`schurrnn.rnn`.
 
-Here the input projection is its own ``pre`` array and the hidden trace a
-fresh one; the reverse sweep builds ``dh + gout`` and an ``np.where``
+Here modReLU is one function that allocates its temporaries, where the
+library's forward step writes the same ufuncs into scratch taken once per
+sweep; the input projection is its own ``pre`` array and the hidden trace
+a fresh one; the reverse sweep builds ``dh + gout`` and an ``np.where``
 mask at every step into a fresh ``dpre``; and dbias is the sum of a
 product of two temporaries.  The head is the same fused class-major
 softmax cross-entropy as the library's.  Every operation rounds as the
@@ -10,14 +12,24 @@ library's does (IEEE addition and multiplication commute), so the two
 must agree bit for bit.
 
 The steps keep ``@`` on numpy's own ``ascontiguousarray(v.T)`` and on
-``v`` as given, where the library steps with ``ndarray.dot`` on 64-byte
-aligned copies; the bitwise test is what pins those to this form.
+``v`` as given, where the library steps with ``ndarray.dot`` into
+scratch on 64-byte aligned copies and masks with ``putmask``; the bitwise
+test is what pins those to this form.
 """
 
 import numpy as np
 
 from schurrnn import schur
-from schurrnn.rnn import ForwardResult, ModelGrads, modrelu
+from schurrnn.rnn import ForwardResult, ModelGrads
+
+
+def modrelu(z, b, out=None):
+    """modReLU on real inputs: (|z| + b) * sign(z) where |z| + b > 0,
+    else 0; sign(0) = 0.  Identity when b = 0.  Written into ``out``
+    when it is given."""
+    # ``maximum``, ``sign`` and the product propagate NaN, so a NaN
+    # pre-activation (or bias) stays NaN.
+    return np.multiply(np.maximum(np.abs(z) + b, 0.0), np.sign(z), out=out)
 
 
 def rnn_forward(v, pre, bias, h0):

@@ -194,6 +194,7 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
     ("fmc", {"sweep": [{"n": 4, "eps": INF}]}),
     ("fmc", {"sweep": [{"n": 4, "d": -INF}]}),
     ("props", {**PROPS, "prop1": [{"n": 6, "alpha": NAN}]}),
+    ("props", {**PROPS, "prop1": [{"n": 6, "alpha": 1.0, "beta": INF}]}),
     ("fmc", {"sweep": [{"n": 4}, {"n": 2**62}]}),
     ("fmc", NESTED),
     ("transients", NESTED),
@@ -219,11 +220,12 @@ PROPS = {"prop2": [{"n": 4, "t_max": 8}], "prop1": [{"n": 6, "alpha": 1.0}]}
         "fmc_k_max", "fmc_n_null", "fmc_n_float", "fmc_n_string",
         "fmc_k_max_float", "n_samples_float", "transients_alpha_nan",
         "transients_beta_inf", "fmc_alpha_nan", "fmc_beta_inf",
-        "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "fmc_n_huge",
-        "fmc_nested", "transients_nested", "props_nested", "report_nested",
-        "report_t_in_block", "n_samples_unallocatable", "fmc_n_unallocatable",
-        "fmc_n_deep_list", "t_max_huge", "t_max_unallocatable_beta",
-        "transients_n_unallocatable", "transients_seed_negative"])
+        "fmc_eps_inf", "fmc_d_minus_inf", "prop1_alpha_nan", "prop1_beta_inf",
+        "fmc_n_huge", "fmc_nested", "transients_nested", "props_nested",
+        "report_nested", "report_t_in_block", "n_samples_unallocatable",
+        "fmc_n_unallocatable", "fmc_n_deep_list", "t_max_huge",
+        "t_max_unallocatable_beta", "transients_n_unallocatable",
+        "transients_seed_negative"])
 def test_invalid_analysis_value_exit_1(tmp_path, capsys, request, command,
                                       doc):
     out = tmp_path / "o"
@@ -584,6 +586,20 @@ def test_props_default_grid(tmp_path):
     # a huge alpha: the closed-form bound does not overflow
     doc3 = json.loads((out / "prop1_02.json").read_text())
     assert doc3["holds"] and doc3["bound"] == doc3["j_curve"] == [1.0, 1.0]
+
+
+def test_props_beta_row_bound_within_20_percent(tmp_path):
+    """A delay line plus beta = 0.005 below its sub-diagonal puts the
+    bound above 80% of J at every lag, so a curve 20% low fails there;
+    the report records beta."""
+    path = write_json(tmp_path / "props.json", {
+        "prop2": [], "prop1": [{"n": 8, "alpha": 1.0, "beta": 0.005}]})
+    out = tmp_path / "props"
+    assert cli.main(["props", "--config", path, "--out", str(out)]) == 0
+    doc = json.loads((out / "prop1_00.json").read_text())
+    assert doc["beta"] == 0.005 and doc["holds"]
+    assert doc["sigma_max"] > 1.01
+    assert np.all(np.array(doc["bound"]) > 0.8 * np.array(doc["j_curve"]))
 
 
 def test_props_failed_bound_writes_its_report_exit_2(tmp_path, monkeypatch):

@@ -599,6 +599,7 @@ def test_d_positive_extends_memory():
 def test_prop1_delay_line_equality():
     for a in (0.9, 1.0, 1.1):
         rep = prop1_bound_check(delay_line_theta(10, a))
+        assert rep.beta == 0.0
         assert abs(rep.sigma_max - 1.0) < 1e-12
         assert np.allclose(rep.margin, 0.0, atol=1e-9)
 
@@ -607,7 +608,7 @@ def test_prop1_near_delay_line():
     th = delay_line_theta(10, 1.0)
     th[np.tril_indices(10, -2)] += 1e-4
     rep = prop1_bound_check(th)
-    assert rep.holds
+    assert rep.holds and rep.beta == 1e-4
     assert abs(rep.sigma_max - 1.0) < 1e-2
 
 
@@ -620,7 +621,7 @@ def test_prop1_random_sweep():
         idx = np.arange(1, n)
         th[idx, idx - 1] = np.sqrt(a)
         rep = prop1_bound_check(th)
-        assert rep.holds
+        assert rep.holds and rep.beta is None
 
 
 def test_prop1_input_validation():

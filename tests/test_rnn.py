@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import rnn_alloc_oracle
+from rnn_alloc_oracle import modrelu
 from schurrnn.rnn import (
     SequenceBatch,
     _aligned_copy,
     bptt,
     forward,
     init_model,
-    modrelu,
     rnn_backward,
     rnn_forward,
 )
@@ -32,12 +32,15 @@ def modrelu_oracle(z, b):
     return np.where(mag <= 0.0, 0.0, mag * np.sign(z))
 
 
+SPECIAL_Z = np.array([0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0,
+                      np.inf, -np.inf, np.nan])
+SPECIAL_B = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, np.nan, np.inf])
+
+
 def test_modrelu_matches_select_oracle():
     """NaN-exact agreement with the select form, including a NaN or
     infinite bias at z == 0, where both give NaN."""
-    z = np.array([0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0,
-                  np.inf, -np.inf, np.nan])[:, None]
-    b = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, np.nan, np.inf])
+    z, b = SPECIAL_Z[:, None], SPECIAL_B
     buf = np.full((z.size, b.size), 7.0)
     with np.errstate(invalid="ignore"):
         got = modrelu(z, b)
@@ -56,6 +59,23 @@ def test_modrelu_cases():
     # zero bias: identity
     z = np.linspace(-2, 2, 9)
     assert np.allclose(modrelu(z, np.zeros(9)), z)
+
+
+def test_rnn_forward_step_matches_modrelu_on_special_values():
+    """One step from h0 = 0 against V = 0 is modReLU of the input alone.
+    The in-place step agrees with the select form NaN-exactly, and with
+    the allocating modReLU byte for byte, on every special value.  The
+    step adds the input to the GEMM's +0.0, so -0.0 cannot reach it."""
+    z = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf,
+                  np.nan])
+    h = np.zeros((2, z.size, SPECIAL_B.size))
+    h[1] = z[:, None]
+    with np.errstate(invalid="ignore"):
+        got = rnn_forward(np.zeros((SPECIAL_B.size,) * 2), h, SPECIAL_B)[1]
+        ref = modrelu(z[:, None], SPECIAL_B)
+        select = modrelu_oracle(z[:, None], SPECIAL_B)
+    assert np.array_equal(got, select, equal_nan=True)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_nan_pre_activation_propagates():
@@ -306,6 +326,8 @@ def test_rnn_backward_matches_per_step_accumulation(n, t_len, b, zero_bias):
     assert v.tobytes() == v_bytes
     ref_dv, ref_dbias, ref_dpre = backward_per_step(v, h, gout)
     assert np.array_equal(dpre, ref_dpre)
+    # array_equal takes -0.0 for 0.0: the masked entries are +0.0
+    assert not np.any(np.signbit(dpre[h[1:] == 0.0]))
     assert np.linalg.norm(dv - ref_dv) <= 1e-13 * np.linalg.norm(ref_dv)
     assert np.linalg.norm(dbias - ref_dbias) <= 1e-13 * np.linalg.norm(ref_dbias)
 
